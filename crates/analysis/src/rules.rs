@@ -170,14 +170,13 @@ fn float_total_order(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------------
 
 /// Files allowed to declare `extern "C"` items: the two readiness-backend
-/// modules, the serve binary (signal handling), and the perf harness
-/// (rlimits). Everything else must go through these modules — raw FFI
-/// scattered across the tree is how errno-handling bugs breed.
+/// modules and the serve binary (signal handling). Everything else must go
+/// through these modules — raw FFI scattered across the tree is how
+/// errno-handling bugs breed.
 const FFI_ALLOWED: &[&str] = &[
     "crates/service/src/poller.rs",
     "crates/parallel/src/wake.rs",
     "crates/service/src/bin/explain3d-serve.rs",
-    "crates/bench/src/bin/perf_report.rs",
 ];
 
 fn ffi_confinement(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {

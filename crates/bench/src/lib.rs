@@ -17,7 +17,6 @@
 
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod timing;
 
 use explain3d::datagen::GeneratedCase;

@@ -335,14 +335,21 @@ pub fn encode(
     }
 
     // --- Validity constraints (Eq. 10). ---
+    // Rows follow the sub-problem's tuple order, never the degree maps'
+    // per-process hash order: the simplex picks among tied optima by row
+    // order, so a hash-ordered model would break ties differently per run.
     if relation.left_degree_limited() {
-        for (&i, expr) in &left_degree {
-            model.add_le(format!("valid_left_{i}"), expr.clone(), 1.0);
+        for i in &sub.left_tuples {
+            if let Some(expr) = left_degree.get(i) {
+                model.add_le(format!("valid_left_{i}"), expr.clone(), 1.0);
+            }
         }
     }
     if relation.right_degree_limited() {
-        for (&j, expr) in &right_degree {
-            model.add_le(format!("valid_right_{j}"), expr.clone(), 1.0);
+        for j in &sub.right_tuples {
+            if let Some(expr) = right_degree.get(j) {
+                model.add_le(format!("valid_right_{j}"), expr.clone(), 1.0);
+            }
         }
     }
 
@@ -788,5 +795,32 @@ mod tests {
             "decoded score {scored} vs MILP objective {}",
             sol.objective
         );
+    }
+
+    #[test]
+    fn constraint_order_is_fixed_by_the_subproblem() {
+        // Every left tuple matches every right tuple at the same probability
+        // with the same impact, so the MILP has many tied optima and the
+        // solver's pick among them depends on row order alone.
+        let keys: Vec<String> = (0..12).map(|i| format!("k{i}")).collect();
+        let entries: Vec<(&str, f64)> = keys.iter().map(|k| (k.as_str(), 1.0)).collect();
+        let t1 = canon("Q1", &entries);
+        let t2 = canon("Q2", &entries);
+        let all: Vec<(usize, usize, f64)> =
+            (0..12).flat_map(|l| (0..12).map(move |r| (l, r, 0.6))).collect();
+        let mut sub = SubProblem::full(&t1, &t2, &mapping(&all));
+        sub.left_tuples.reverse();
+        let params = ProbabilityParams::default();
+        let names = || -> Vec<String> {
+            let enc = encode(&t1, &t2, SemanticRelation::Equivalent, &params, &sub);
+            enc.model.constraints().iter().map(|c| c.name.clone()).collect()
+        };
+        let first = names();
+        assert_eq!(first, names(), "two encodings of one sub-problem differ in row order");
+        let valid_left: Vec<String> =
+            first.iter().filter(|n| n.starts_with("valid_left_")).cloned().collect();
+        let expected: Vec<String> =
+            sub.left_tuples.iter().map(|i| format!("valid_left_{i}")).collect();
+        assert_eq!(valid_left, expected);
     }
 }

@@ -55,7 +55,7 @@ pub struct Explain3DConfig {
     /// `Explain3DConfig::default()` is byte-reproducible even under thread
     /// contention. Setting a wall-clock [`MilpConfig::time_limit`]
     /// re-introduces scheduling-dependent results for solves that hit it
-    /// (see `perf_report` and `tests/perf_equivalence.rs`).
+    /// (see `tests/perf_equivalence.rs`).
     pub parallel: bool,
     /// Worker threads for the solve phase: `None` uses all available cores
     /// (ignored when [`parallel`](Explain3DConfig::parallel) is off).

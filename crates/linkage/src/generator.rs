@@ -530,9 +530,7 @@ pub fn candidate_pairs_streaming(
 /// [`tuple_similarity`], re-tokenising both rows per comparison.
 ///
 /// This is the reference implementation [`candidate_pairs`] is tested
-/// against, and the baseline the `perf_report` benchmark measures the
-/// interned kernel's speedup over. Prefer [`candidate_pairs`] everywhere
-/// else.
+/// against. Prefer [`candidate_pairs`] everywhere else.
 pub fn candidate_pairs_naive(
     left_schema: &Schema,
     left_rows: &[Row],

@@ -30,7 +30,7 @@ pub enum LpKernel {
 /// reference single-core container: a branch-and-bound node on a model with
 /// `s = num_vars + num_constraints` costs roughly
 /// `NODE_COST_BASE_SECS + NODE_COST_SCALE_SECS · s^1.5` seconds. Fitted on
-/// the `perf_report` Stage-2 components (small `s`) and the large academic
+/// packed synthetic Stage-2 components (small `s`) and the large academic
 /// component (`s ≈ 2600`, ≈ 0.7 ms/node warm). Used to convert a wall-clock
 /// target into a *deterministic* per-model node budget — see
 /// [`MilpConfig::node_budget_for`].

@@ -134,8 +134,8 @@ impl Json {
         }
     }
 
-    /// Serialises with two-space indentation (for human-readable reports
-    /// like `BENCH_pipeline.json` that should diff cleanly across runs).
+    /// Serialises with two-space indentation (for human-readable output
+    /// that should diff cleanly across runs).
     pub fn to_pretty_string(&self) -> String {
         let mut out = String::new();
         self.write_pretty(&mut out, 0);

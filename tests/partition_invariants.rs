@@ -123,9 +123,9 @@ fn packed_partition_invariants_hold_on_large_graphs() {
 
 #[test]
 fn bench_shaped_workload_packs_to_target_plus_splits() {
-    // The BENCH_pipeline shape: many small high-probability components
-    // (the 213-part regression this PR removes). Packing must land within
-    // target + splits, with parts bounded by the batch.
+    // The synthetic bench shape: many small high-probability components
+    // (once a 213-part regression). Packing must land within target +
+    // splits, with parts bounded by the batch.
     let mut g = MappingGraph::new(240, 240);
     let mut rng = StdRng::seed_from_u64(7);
     for i in 0..240 {

@@ -227,7 +227,15 @@ fn eviction_and_recreate_round_trip_under_contention() {
     for s in 0..SESSIONS {
         let name = format!("s{s}");
         let Ok(log) = registry.delta_log(&name) else { continue };
-        let Ok(stored) = registry.report(&name) else { continue };
+        let stored = match registry.report(&name) {
+            Ok(report) => report,
+            // Re-created by the churn and never touched since: explain it
+            // now; it must match a fresh session like any other survivor.
+            Err(explain3d::service::ServiceError::NoReport(_)) if log.is_empty() => {
+                registry.explain(&name, None).expect("explain a re-created session")
+            }
+            Err(_) => continue,
+        };
         assert_eq!(
             report_fingerprint(&stored),
             serial_replay(s, &log),
