@@ -140,13 +140,14 @@ impl Explain3DConfig {
 /// pipeline run reports all-zero `DeltaStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// Tuple pairs whose similarity was actually recomputed (score-cache
-    /// misses during candidate generation).
+    /// Always 0: the pair-similarity score cache was removed. Kept only
+    /// for readers that still sum it; slated for deletion.
     pub pair_cache_misses: usize,
-    /// Tuple pairs answered from the hash-keyed similarity score cache.
+    /// Always 0: the pair-similarity score cache was removed. Kept only
+    /// for readers that still sum it; slated for deletion.
     pub pair_cache_hits: usize,
     /// Candidates carried over from the previous run without touching the
-    /// scorer at all (both endpoints untouched by any delta).
+    /// scorer at all (neither endpoint's representative row changed).
     pub candidates_reused: usize,
     /// Sub-problem components answered verbatim from the solution cache.
     pub component_cache_hits: usize,

@@ -540,7 +540,7 @@ pub fn enc_session_config(e: &mut Enc, c: &SessionConfig) {
     e.bool(c.mapping.use_blocking);
     e.usize(c.mapping.sample_every);
     e.bool(c.warm_start_dirty);
-    e.opt_u64(c.score_cache_soft_cap.map(|v| v as u64));
+    e.opt_u64(None); // removed pair-score cache cap: slot kept in the E3DSNAP2 layout
 }
 
 /// Decodes a session configuration.
@@ -588,10 +588,7 @@ pub fn dec_session_config(d: &mut Dec<'_>) -> Result<SessionConfig, CodecError> 
         sample_every: d.usize()?,
     };
     let warm_start_dirty = d.bool()?;
-    let score_cache_soft_cap = d
-        .opt_u64()?
-        .map(|v| usize::try_from(v).map_err(|_| CodecError::Invalid("cache cap overflow")))
-        .transpose()?;
+    d.opt_u64()?; // removed pair-score cache cap: slot kept in the E3DSNAP2 layout
     Ok(SessionConfig {
         explain: Explain3DConfig {
             params: ProbabilityParams { alpha, beta, prob_floor },
@@ -602,7 +599,6 @@ pub fn dec_session_config(d: &mut Dec<'_>) -> Result<SessionConfig, CodecError> 
         },
         mapping,
         warm_start_dirty,
-        score_cache_soft_cap,
     })
 }
 
@@ -711,7 +707,6 @@ mod tests {
         config.mapping.metric = StringMetric::JaroWinkler;
         config.mapping.min_similarity = 0.42;
         config.warm_start_dirty = true;
-        config.score_cache_soft_cap = Some(4096);
         let mut e = Enc::new();
         enc_session_config(&mut e, &config);
         let bytes = e.into_bytes();
@@ -725,7 +720,6 @@ mod tests {
         assert_eq!(back.mapping.metric, config.mapping.metric);
         assert_eq!(back.mapping.min_similarity, config.mapping.min_similarity);
         assert_eq!(back.warm_start_dirty, config.warm_start_dirty);
-        assert_eq!(back.score_cache_soft_cap, config.score_cache_soft_cap);
     }
 
     #[test]

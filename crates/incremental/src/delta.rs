@@ -9,8 +9,16 @@
 //!
 //! * the **index map** from pre-delta tuple indices to post-delta indices
 //!   (`None` for deleted or replaced tuples), and
-//! * per post-delta tuple, a **dirty flag** — `true` for inserted or
-//!   updated tuples, whose pairs must be re-scored.
+//! * per post-delta tuple, a **dirty flag** — `true` for inserted tuples
+//!   and for updates that change the representative row, whose pairs must
+//!   be re-scored.
+//!
+//! An update whose replacement has exactly the same representative row (a
+//! value correction: same tuple, new impact) is *not* a replacement: pair
+//! similarities are a pure function of the representative rows, so the
+//! tuple keeps its index-map entry and dirty flag and its candidates carry
+//! over. "Exactly" is per value variant and bit pattern — `Int(2)` versus
+//! `Float(2.0)`, or `0.0` versus `-0.0`, still count as changes.
 //!
 //! Surviving untouched tuples keep their relative order (inserts append,
 //! deletes shift), so the index maps are monotone — the property that lets
@@ -18,6 +26,7 @@
 //! re-sorting.
 
 use explain3d_core::prelude::{CanonicalRelation, CanonicalTuple, Side};
+use explain3d_relation::prelude::{Row, Value};
 use std::fmt;
 
 /// One tuple edit against a canonical relation.
@@ -113,15 +122,19 @@ impl std::error::Error for DeltaError {}
 /// Per-side application result: the index map and the dirty flags.
 #[derive(Debug, Clone, Default)]
 pub struct SideTrace {
-    /// `old index → new index` for surviving untouched tuples; `None` for
-    /// deleted or replaced ones. Monotone over the `Some` entries.
+    /// `old index → new index` for surviving tuples whose representative
+    /// row is unchanged (untouched, or updated with an exactly equal row);
+    /// `None` for deleted or replaced ones. Monotone over the `Some`
+    /// entries.
     pub index_map: Vec<Option<usize>>,
-    /// Per post-delta tuple: `true` when inserted or updated by the delta.
+    /// Per post-delta tuple: `true` when inserted by the delta or updated
+    /// to a different representative row — the tuples whose pairs must be
+    /// re-scored.
     pub dirty: Vec<bool>,
 }
 
 impl SideTrace {
-    /// Number of dirty (inserted/updated) post-delta tuples.
+    /// Number of dirty (inserted or row-changing updated) post-delta tuples.
     pub fn dirty_count(&self) -> usize {
         self.dirty.iter().filter(|&&d| d).count()
     }
@@ -171,7 +184,14 @@ pub fn apply_delta(
                 if *index >= entries.len() {
                     return Err(DeltaError { side: *side, index: *index, len: entries.len() });
                 }
-                entries[*index] = Tracked { tuple: tuple.clone(), origin: None, dirty: true };
+                let entry = &mut entries[*index];
+                if same_row(&entry.tuple.representative, &tuple.representative) {
+                    // Similarities cannot change: keep origin and dirty flag
+                    // so the entry's candidates carry over.
+                    entry.tuple = tuple.clone();
+                } else {
+                    *entry = Tracked { tuple: tuple.clone(), origin: None, dirty: true };
+                }
             }
             TupleOp::Delete { side, index } => {
                 let entries = &mut sides[slot(*side)];
@@ -204,6 +224,22 @@ pub fn apply_delta(
     let lt = commit(left, tracked_left);
     let rt = commit(right, tracked_right);
     Ok((lt, rt))
+}
+
+/// Exact row equality: same arity and, per value, the same variant and
+/// bits (`Int` by `i64`, `Float` by `to_bits`, `Str` by bytes). Unlike
+/// `Value`'s `PartialEq`, `Int(2)` and `Float(2.0)` differ here.
+fn same_row(a: &Row, b: &Row) -> bool {
+    let (a, b) = (a.values(), b.values());
+    a.len() == b.len()
+        && a.iter().zip(b).all(|pair| match pair {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(x), Value::Bool(y)) => x == y,
+            (Value::Int(x), Value::Int(y)) => x == y,
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            (Value::Str(x), Value::Str(y)) => x == y,
+            _ => false,
+        })
 }
 
 #[cfg(test)]
@@ -277,8 +313,8 @@ mod tests {
         let (lt, rt) = apply_delta(&mut l, &mut r, &delta).unwrap();
         assert_eq!(r.tuples[0].key, vec![Value::str("y")]);
         assert_eq!(r.tuples[0].impact, 3.0);
-        // The replaced slot maps to None: the old tuple's cached pair
-        // scores must not be carried over.
+        // The replaced slot maps to None: the old tuple's candidates must
+        // not be carried over.
         assert_eq!(rt.index_map, vec![None]);
         assert_eq!(rt.dirty, vec![true]);
         assert_eq!(lt.dirty_count(), 0);
@@ -320,5 +356,64 @@ mod tests {
         assert_eq!(survivors, sorted);
         assert_eq!(rt.index_map, vec![Some(0), Some(1)]);
         assert_eq!(rt.dirty, vec![false, false, true]);
+    }
+
+    fn with_row(impact: f64, values: Vec<Value>) -> CanonicalTuple {
+        CanonicalTuple {
+            id: 0,
+            key: vec![values[0].clone()],
+            impact,
+            members: vec![],
+            representative: Row::new(values),
+        }
+    }
+
+    #[test]
+    fn impact_only_update_keeps_its_candidates() {
+        let mut l = relation(&["a", "b"]);
+        let mut r = relation(&["x"]);
+        let delta = RelationDelta::new().update(Side::Left, 1, tuple("b", 5.0));
+        let (lt, _) = apply_delta(&mut l, &mut r, &delta).unwrap();
+        assert_eq!(l.tuples[1].impact, 5.0);
+        assert_eq!(l.tuples[1].id, 1);
+        assert_eq!(lt.index_map, vec![Some(0), Some(1)]);
+        assert_eq!(lt.dirty, vec![false, false]);
+    }
+
+    #[test]
+    fn inexact_row_matches_stay_dirty() {
+        for (old, new) in [
+            (Value::Int(2), Value::Float(2.0)),
+            (Value::Float(0.0), Value::Float(-0.0)),
+            (Value::str("design"), Value::str("Design")),
+            (Value::Null, Value::str("")),
+        ] {
+            let mut l = relation(&[]);
+            l.tuples.push(with_row(1.0, vec![Value::str("k"), old.clone()]));
+            let mut r = relation(&[]);
+            let delta = RelationDelta::new().update(
+                Side::Left,
+                0,
+                with_row(2.0, vec![Value::str("k"), new]),
+            );
+            let (lt, _) = apply_delta(&mut l, &mut r, &delta).unwrap();
+            assert_eq!(lt.index_map, vec![None], "{old:?}");
+            assert_eq!(lt.dirty, vec![true], "{old:?}");
+        }
+    }
+
+    #[test]
+    fn updating_a_tuple_inserted_by_the_same_delta_stays_dirty() {
+        let mut l = relation(&["a"]);
+        let mut r = relation(&[]);
+        let delta = RelationDelta::new().insert(Side::Left, tuple("c", 1.0)).update(
+            Side::Left,
+            1,
+            tuple("c", 4.0),
+        );
+        let (lt, _) = apply_delta(&mut l, &mut r, &delta).unwrap();
+        assert_eq!(l.tuples[1].impact, 4.0);
+        assert_eq!(lt.index_map, vec![Some(0)]);
+        assert_eq!(lt.dirty, vec![false, true]);
     }
 }

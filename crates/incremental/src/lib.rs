@@ -8,13 +8,14 @@
 //!
 //! * [`RelationDelta`] / [`delta::apply_delta`] — an ordered tuple-edit
 //!   language (insert / update / delete) whose application tracks monotone
-//!   old→new index maps and per-tuple dirty flags;
-//! * [`ExplainSession`] — owns the relations plus three memo layers: the
-//!   hash-keyed pair-similarity [`explain3d_linkage::cache::ScoreCache`],
-//!   the carried-over candidate list, and a content-hashed per-component
-//!   MILP solution cache (local coordinates, so solutions survive index
-//!   shifts); dirty components optionally warm-start from persisted
-//!   `milp::revised` bases ([`SessionConfig::warm_start_dirty`]);
+//!   old→new index maps and per-tuple dirty flags (an update that keeps
+//!   the representative row, i.e. changes only the impact, stays clean);
+//! * [`ExplainSession`] — owns the relations plus two memo layers: the
+//!   carried-over candidate list (only pairs with a dirty endpoint are
+//!   re-scored) and a content-hashed per-component MILP solution cache
+//!   (local coordinates, so solutions survive index shifts); dirty
+//!   components optionally warm-start from persisted `milp::revised`
+//!   bases ([`SessionConfig::warm_start_dirty`]);
 //! * [`session::report_fingerprint`] — the canonical byte serialisation
 //!   under which `re_explain` output is **byte-identical** to a cold run on
 //!   the post-delta data (pinned by `tests/incremental_equivalence.rs`).

@@ -1,11 +1,11 @@
 //! The incremental re-explanation session.
 //!
 //! [`ExplainSession`] owns a pair of canonical relations and memoises the
-//! expensive artefacts of explaining them — pairwise similarity scores
-//! (hash-keyed [`ScoreCache`] in the linkage crate) and per-component MILP
-//! solutions (content-hashed, stored in local coordinates) — so that
-//! [`ExplainSession::re_explain`] after a small [`RelationDelta`] costs a
-//! small fraction of a cold [`ExplainSession::explain`].
+//! expensive artefacts of explaining them — the retained candidate list
+//! and per-component MILP solutions (content-hashed, stored in local
+//! coordinates) — so that [`ExplainSession::re_explain`] after a small
+//! [`RelationDelta`] costs a small fraction of a cold
+//! [`ExplainSession::explain`].
 //!
 //! ## The byte-identity invariant
 //!
@@ -15,16 +15,16 @@
 //! statistics). The invariant holds by construction, not by luck:
 //!
 //! 1. **Candidates.** The retained candidate set is assembled from (a) the
-//!    previous run's candidates between delta-untouched tuples, re-indexed
-//!    through the delta's monotone index maps — valid because both blocking
-//!    keys and similarities are pure functions of the two rows' contents —
-//!    and (b) pairs with at least one dirty endpoint, enumerated through
-//!    the same [`explain3d_linkage::generator::PairChunkStream`] blocking
-//!    machinery restricted to the dirty rows and scored by the same
-//!    [`explain3d_linkage::generator::PreparedScorer`] kernel (via the
-//!    score cache, which memoises by content hash and therefore returns
-//!    bit-identical values). The merged, `(left, right)`-sorted list equals
-//!    the cold enumeration's output element for element.
+//!    previous run's candidates between tuples whose representative rows
+//!    the delta left unchanged (untouched tuples and impact-only updates),
+//!    re-indexed through the delta's monotone index maps — valid because
+//!    both blocking keys and similarities are pure functions of the two
+//!    rows' contents, never of impacts — and (b) pairs with at least one
+//!    dirty endpoint, enumerated by
+//!    [`explain3d_linkage::generator::candidate_pairs_streaming`] (the cold
+//!    path's own blocking and scoring) over the dirty rows. The merged,
+//!    `(left, right)`-sorted list equals the cold enumeration's output
+//!    element for element.
 //! 2. **Partition.** The job list is derived by the *same*
 //!    [`explain3d_core::pipeline::component_jobs`] call the cold pipeline
 //!    uses, on the identical mapping — batch packing is global (first-fit
@@ -58,8 +58,7 @@ use explain3d_core::pipeline::{
 use explain3d_core::prelude::{
     AttributeMatches, CanonicalRelation, ExplanationSet, MappingOptions, Side, SubProblem,
 };
-use explain3d_linkage::cache::{candidate_pairs_cached, ContentHasher, ScoreCache};
-use explain3d_linkage::generator::{Candidate, MappingConfig};
+use explain3d_linkage::generator::{candidate_pairs_streaming, Candidate, MappingConfig};
 use explain3d_linkage::{BucketCalibrator, TupleMapping, TupleMatch};
 use explain3d_milp::prelude::SparseBasis;
 use explain3d_relation::prelude::Row;
@@ -86,12 +85,6 @@ pub struct SessionConfig {
     /// does. Turn it on for latency-critical sessions that only need
     /// objective-equivalent output.
     pub warm_start_dirty: bool,
-    /// Segment soft cap (entries) of the pair-similarity [`ScoreCache`];
-    /// `None` uses [`explain3d_linkage::cache::DEFAULT_SCORE_CACHE_CAP`].
-    /// Smaller caps bound [`ExplainSession::memory_footprint`] tighter at
-    /// the cost of re-scoring evicted pair contents — eviction can cost
-    /// time, never correctness.
-    pub score_cache_soft_cap: Option<usize>,
 }
 
 /// One memoised component solution, in local coordinates: positions into
@@ -198,7 +191,6 @@ pub struct ExplainSession {
     calibrator: BucketCalibrator,
     left: CanonicalRelation,
     right: CanonicalRelation,
-    scores: ScoreCache,
     candidates: Vec<Candidate>,
     solutions: HashMap<u64, CachedComponent>,
     bases_by_shape: HashMap<(usize, usize, usize), SparseBasis>,
@@ -221,10 +213,6 @@ impl ExplainSession {
             config.explain.milp.export_basis = true;
         }
         let mapping_config = config.mapping.mapping_config(&matches);
-        let scores = match config.score_cache_soft_cap {
-            Some(cap) => ScoreCache::with_soft_cap(cap),
-            None => ScoreCache::new(),
-        };
         ExplainSession {
             config,
             matches,
@@ -232,7 +220,6 @@ impl ExplainSession {
             calibrator: BucketCalibrator::with_default_buckets(),
             left,
             right,
-            scores,
             candidates: Vec::new(),
             solutions: HashMap::new(),
             bases_by_shape: HashMap::new(),
@@ -284,13 +271,12 @@ impl ExplainSession {
     }
 
     /// Estimated resident bytes of everything the session memoises: the
-    /// pair-similarity cache segments, the carried-over candidate list, the
-    /// per-component MILP solution cache, and the persisted warm-start
-    /// bases. This is the quantity a hosting registry's memory budget is
-    /// enforced against — it grows monotonically while caches fill and
-    /// drops when a score-cache segment rotation or solution-cache eviction
-    /// frees entries. The relations themselves are *not* counted: they are
-    /// the session's working data, not reclaimable cache.
+    /// carried-over candidate list, the per-component MILP solution cache,
+    /// and the persisted warm-start bases. This is the quantity a hosting
+    /// registry's memory budget is enforced against — it grows while
+    /// caches fill and drops when solution-cache eviction frees entries.
+    /// The relations themselves are *not* counted: they are the session's
+    /// working data, not reclaimable cache.
     pub fn memory_footprint(&self) -> usize {
         let solutions: usize = self
             .solutions
@@ -302,10 +288,7 @@ impl ExplainSession {
             .values()
             .map(|b| std::mem::size_of::<(usize, usize, usize)>() + b.memory_footprint())
             .sum();
-        self.scores.memory_footprint()
-            + self.candidates.capacity() * std::mem::size_of::<Candidate>()
-            + solutions
-            + bases
+        self.candidates.capacity() * std::mem::size_of::<Candidate>() + solutions + bases
     }
 
     /// Overrides the deterministic MILP deadline for subsequent solves,
@@ -331,17 +314,14 @@ impl ExplainSession {
     pub fn explain(&mut self) -> ExplanationReport {
         let start = Instant::now();
         let (left_rows, right_rows) = self.representative_rows();
-        let (candidates, _, score_stats) = candidate_pairs_cached(
+        self.candidates = candidate_pairs_streaming(
             &self.left.schema,
             &left_rows,
             &self.right.schema,
             &right_rows,
             &self.mapping_config,
-            &mut self.scores,
-        );
-        self.stats.pair_cache_hits += score_stats.hits;
-        self.stats.pair_cache_misses += score_stats.misses;
-        self.candidates = candidates;
+        )
+        .0;
         let mapping = self.calibrated_mapping();
         let candidate_time = start.elapsed();
         let report = self.run(&mapping, start, candidate_time);
@@ -350,7 +330,8 @@ impl ExplainSession {
     }
 
     /// Applies a delta to the relations and re-explains incrementally:
-    /// only pairs touching dirty tuples are re-scored and only components
+    /// only pairs touching dirty tuples (inserted, or updated to a
+    /// different representative row) are re-scored and only components
     /// whose content changed are re-solved. The report is byte-identical
     /// (explanations, evidence, log-probability bits, completeness) to a
     /// cold run on the post-delta relations; on error the relations are
@@ -364,7 +345,7 @@ impl ExplainSession {
         let start = Instant::now();
         let (lt, rt) = apply_delta(&mut self.left, &mut self.right, delta)?;
 
-        // 1. Carry over candidates between untouched tuples (monotone index
+        // 1. Carry over candidates between clean tuples (monotone index
         //    maps keep the (left, right) sort order), dropping pairs that
         //    lost an endpoint.
         let mut clean: Vec<Candidate> = Vec::with_capacity(self.candidates.len());
@@ -408,13 +389,13 @@ impl ExplainSession {
 
     /// Scores every pair with at least one dirty endpoint: dirty-left ×
     /// all-right plus clean-left × dirty-right, each run through
-    /// [`candidate_pairs_cached`] — the same blocking enumeration, the same
-    /// parallel chunked scorer, and the same content-hash score cache as
-    /// the cold path, just over restricted row subsets (preparation and
-    /// hashing are per-row, so subset results match the full-relation
-    /// results bit for bit). Returns retained candidates re-indexed to the
-    /// full relations and sorted by `(left, right)`.
-    fn score_dirty_pairs(&mut self, lt: &SideTrace, rt: &SideTrace) -> Vec<Candidate> {
+    /// [`candidate_pairs_streaming`] — the same blocking enumeration and
+    /// the same parallel chunked scorer as the cold path, just over
+    /// restricted row subsets (preparation is per-row, so subset results
+    /// match the full-relation results bit for bit). Returns retained
+    /// candidates re-indexed to the full relations and sorted by
+    /// `(left, right)`.
+    fn score_dirty_pairs(&self, lt: &SideTrace, rt: &SideTrace) -> Vec<Candidate> {
         let dirty_left: Vec<usize> =
             lt.dirty.iter().enumerate().filter_map(|(i, &d)| d.then_some(i)).collect();
         let dirty_right: Vec<usize> =
@@ -430,16 +411,13 @@ impl ExplainSession {
         if !dirty_left.is_empty() && !self.right.is_empty() {
             let sub_rows: Vec<Row> = dirty_left.iter().map(|&i| left_row(i)).collect();
             let right_rows: Vec<Row> = (0..self.right.len()).map(right_row).collect();
-            let (cands, _, score_stats) = candidate_pairs_cached(
+            let (cands, _) = candidate_pairs_streaming(
                 &self.left.schema,
                 &sub_rows,
                 &self.right.schema,
                 &right_rows,
                 &self.mapping_config,
-                &mut self.scores,
             );
-            self.stats.pair_cache_hits += score_stats.hits;
-            self.stats.pair_cache_misses += score_stats.misses;
             out.extend(cands.into_iter().map(|c| Candidate {
                 left: dirty_left[c.left],
                 right: c.right,
@@ -455,16 +433,13 @@ impl ExplainSession {
             if !clean_left.is_empty() {
                 let left_sub: Vec<Row> = clean_left.iter().map(|&i| left_row(i)).collect();
                 let right_sub: Vec<Row> = dirty_right.iter().map(|&j| right_row(j)).collect();
-                let (cands, _, score_stats) = candidate_pairs_cached(
+                let (cands, _) = candidate_pairs_streaming(
                     &self.left.schema,
                     &left_sub,
                     &self.right.schema,
                     &right_sub,
                     &self.mapping_config,
-                    &mut self.scores,
                 );
-                self.stats.pair_cache_hits += score_stats.hits;
-                self.stats.pair_cache_misses += score_stats.misses;
                 out.extend(cands.into_iter().map(|c| Candidate {
                     left: clean_left[c.left],
                     right: dirty_right[c.right],
@@ -638,6 +613,32 @@ fn component_shape(sub: &SubProblem) -> (usize, usize, usize) {
     (sub.left_tuples.len(), sub.right_tuples.len(), sub.matches.len())
 }
 
+/// A streaming FNV-1a 64-bit hasher: the key function of the solution
+/// cache ([`ExplainSession::component_hash`]).
+struct ContentHasher(u64);
+
+impl ContentHasher {
+    fn new() -> Self {
+        ContentHasher(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds a `u64` (little-endian) into the hash.
+    fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Merges two `(left, right)`-sorted, pair-disjoint candidate runs.
 fn merge_candidates(a: Vec<Candidate>, b: Vec<Candidate>) -> Vec<Candidate> {
     if a.is_empty() {
@@ -806,9 +807,30 @@ mod tests {
         assert_eq!(report_fingerprint(&report), cold_fingerprint(&s));
         let after = s.delta_stats();
         assert_eq!(after.component_cache_misses, before.component_cache_misses);
-        assert_eq!(after.pair_cache_misses, before.pair_cache_misses);
+        assert_eq!(after.candidates_reused - before.candidates_reused, s.candidates().len());
         assert!(after.component_cache_hits > before.component_cache_hits);
         assert_eq!(after.parts_dirty, before.parts_dirty);
+    }
+
+    #[test]
+    fn impact_only_update_carries_every_candidate_over() {
+        let t1 = canon("Q1", &[("alpha", 1.0), ("beta", 2.0), ("gamma", 1.0)]);
+        let t2 = canon("Q2", &[("alpha", 1.0), ("beta", 1.0), ("delta", 1.0)]);
+        let mut s = session(t1, t2);
+        s.explain();
+        let candidates = s.candidates().len();
+        assert!(candidates > 0);
+        let before = s.delta_stats();
+        // Same representative row, new impact: nothing is re-scored.
+        let delta = RelationDelta::new().update(Side::Right, 1, tuple("beta", 2.0));
+        let report = s.re_explain(&delta).unwrap();
+        assert_eq!(report_fingerprint(&report), cold_fingerprint(&s));
+        let after = s.delta_stats();
+        assert_eq!(after.candidates_reused - before.candidates_reused, candidates);
+        assert_eq!(s.candidates().len(), candidates);
+        // The component holding the tuple still re-solves (impacts are in
+        // its content hash).
+        assert!(after.component_cache_misses > before.component_cache_misses);
     }
 
     #[test]
@@ -843,9 +865,9 @@ mod tests {
         s.explain();
         let mut prev = s.memory_footprint();
         assert!(prev > empty, "explain must populate the caches");
-        // Pure inserts only add cache entries (no rotation at the default
-        // cap, no solution eviction while every old component still hits),
-        // so the footprint must never shrink.
+        // Pure inserts only add cache entries (no solution eviction while
+        // every old component still hits), so the footprint must never
+        // shrink.
         for i in 0..4 {
             let delta = RelationDelta::new().insert(Side::Right, tuple(&format!("new{i}"), 1.0));
             s.re_explain(&delta).unwrap();
@@ -853,53 +875,6 @@ mod tests {
             assert!(now >= prev, "footprint shrank under insert {i}: {now} < {prev}");
             prev = now;
         }
-    }
-
-    #[test]
-    fn memory_footprint_drops_after_segment_rotation() {
-        // 12×12 with blocking off: one explain scores 144 distinct pair
-        // contents, far past the soft cap, so the cache rotates and holds
-        // them in its stale segment. A 2-tuple update then scores 24 fresh
-        // pairs — past the cap again, so the rotation frees the 144-entry
-        // segment and the footprint must drop despite the new entries.
-        let keys: Vec<String> = (0..12).map(|i| format!("key{i}")).collect();
-        let entries: Vec<(&str, f64)> = keys.iter().map(|k| (k.as_str(), 1.0)).collect();
-        let config = SessionConfig {
-            mapping: explain3d_core::prelude::MappingOptions {
-                use_blocking: false,
-                ..Default::default()
-            },
-            score_cache_soft_cap: Some(16),
-            ..Default::default()
-        };
-        let mut s = ExplainSession::new(
-            canon("Q1", &entries),
-            canon("Q2", &entries),
-            AttributeMatches::single_equivalent("k", "k"),
-            config.clone(),
-        );
-        s.explain();
-        let before = s.memory_footprint();
-        let delta = RelationDelta::new().update(Side::Left, 0, tuple("fresh-a", 1.0)).update(
-            Side::Left,
-            1,
-            tuple("fresh-b", 1.0),
-        );
-        s.re_explain(&delta).unwrap();
-        let after = s.memory_footprint();
-        assert!(after < before, "rotation must free the old segment: {after} >= {before}");
-        // Correctness is untouched by the eviction: a fresh same-config
-        // session on the post-delta relations reproduces the fingerprint.
-        let mut fresh = ExplainSession::new(
-            s.left().clone(),
-            s.right().clone(),
-            AttributeMatches::single_equivalent("k", "k"),
-            config,
-        );
-        assert_eq!(
-            report_fingerprint(&s.re_explain(&RelationDelta::new()).unwrap()),
-            report_fingerprint(&fresh.explain())
-        );
     }
 
     #[test]

@@ -21,7 +21,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod calibrate;
 pub mod generator;
 pub mod matches;
@@ -29,10 +28,6 @@ pub mod rswoosh;
 pub mod similarity;
 pub mod tokenize;
 
-pub use cache::{
-    candidate_pairs_cached, compared_columns, row_content_hash, row_content_hashes, ContentHasher,
-    ScoreCache, ScoreCacheStats,
-};
 pub use calibrate::BucketCalibrator;
 pub use generator::{
     candidate_pairs, candidate_pairs_naive, candidate_pairs_streaming, generate_calibrated_mapping,

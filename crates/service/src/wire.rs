@@ -278,13 +278,6 @@ pub fn parse_options(json: Option<&Json>) -> Result<SessionConfig, ServiceError>
         config.explain.strategy =
             explain3d_core::pipeline::PartitioningStrategy::Smart { batch_size: v as usize };
     }
-    if let Some(cap) = json.get("score_cache_cap") {
-        let v = cap.as_i64().ok_or_else(|| bad("options.score_cache_cap", "must be an integer"))?;
-        if v < 1 {
-            return Err(bad("options.score_cache_cap", "must be positive"));
-        }
-        config.score_cache_soft_cap = Some(v as usize);
-    }
     Ok(config)
 }
 
@@ -421,8 +414,6 @@ fn emit_stats(stats: &PipelineStats) -> Json {
         .set(
             "delta",
             Json::obj()
-                .set("pair_cache_hits", stats.delta.pair_cache_hits)
-                .set("pair_cache_misses", stats.delta.pair_cache_misses)
                 .set("candidates_reused", stats.delta.candidates_reused)
                 .set("component_cache_hits", stats.delta.component_cache_hits)
                 .set("component_cache_misses", stats.delta.component_cache_misses)

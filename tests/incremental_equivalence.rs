@@ -1,6 +1,7 @@
 //! Property suite for the incremental re-explanation subsystem: for random
-//! base relations and random delta sequences (inserts / updates / deletes,
-//! including deltas that split or merge connected components),
+//! base relations and random delta sequences (inserts / updates /
+//! impact-only updates / deletes, including deltas that split or merge
+//! connected components),
 //! `ExplainSession::re_explain` must be **byte-identical** — under
 //! `report_fingerprint`, which covers explanations, value changes, the
 //! evidence mapping, log-probability bits, and completeness — to a cold
@@ -46,29 +47,49 @@ fn relation(rng: &mut StdRng, name: &str, n: usize) -> CanonicalRelation {
     }
 }
 
-fn random_delta(rng: &mut StdRng, left_len: usize, right_len: usize) -> RelationDelta {
+/// A random delta of 1–4 ops against the given tuples. The generator
+/// tracks the tuples as its earlier ops leave them, so an impact-only
+/// update (same representative row, new impact) copies its target's
+/// current row.
+fn random_delta(
+    rng: &mut StdRng,
+    left: &[CanonicalTuple],
+    right: &[CanonicalTuple],
+) -> RelationDelta {
     let mut delta = RelationDelta::new();
-    let (mut ll, mut rl) = (left_len, right_len);
+    let mut sides = [left.to_vec(), right.to_vec()];
     for _ in 0..rng.gen_range(1..=4usize) {
-        let side = if rng.gen_range(0..2u32) == 0 { Side::Left } else { Side::Right };
-        let len = if side == Side::Left { &mut ll } else { &mut rl };
-        match rng.gen_range(0..3u32) {
+        let (side, tuples) = if rng.gen_range(0..2u32) == 0 {
+            (Side::Left, &mut sides[0])
+        } else {
+            (Side::Right, &mut sides[1])
+        };
+        let len = tuples.len();
+        match rng.gen_range(0..4u32) {
             0 => {
-                delta = delta.insert(side, tuple(rng));
-                *len += 1;
+                let t = tuple(rng);
+                tuples.push(t.clone());
+                delta = delta.insert(side, t);
             }
-            1 if *len > 0 => {
-                let idx = rng.gen_range(0..*len);
-                delta = delta.update(side, idx, tuple(rng));
+            1 if len > 0 => {
+                let idx = rng.gen_range(0..len);
+                tuples[idx] = tuple(rng);
+                delta = delta.update(side, idx, tuples[idx].clone());
             }
-            _ if *len > 1 => {
-                let idx = rng.gen_range(0..*len);
+            2 if len > 0 => {
+                let idx = rng.gen_range(0..len);
+                tuples[idx].impact += rng.gen_range(1..=3i64) as f64;
+                delta = delta.update(side, idx, tuples[idx].clone());
+            }
+            _ if len > 1 => {
+                let idx = rng.gen_range(0..len);
+                tuples.remove(idx);
                 delta = delta.delete(side, idx);
-                *len -= 1;
             }
             _ => {
-                delta = delta.insert(side, tuple(rng));
-                *len += 1;
+                let t = tuple(rng);
+                tuples.push(t.clone());
+                delta = delta.insert(side, t);
             }
         }
     }
@@ -101,10 +122,8 @@ fn cold_fingerprint(
 }
 
 /// All monotone counters of a `DeltaStats`, in a fixed order.
-fn counters(s: &explain3d::core::pipeline::DeltaStats) -> [usize; 8] {
+fn counters(s: &explain3d::core::pipeline::DeltaStats) -> [usize; 6] {
     [
-        s.pair_cache_misses,
-        s.pair_cache_hits,
         s.candidates_reused,
         s.component_cache_hits,
         s.component_cache_misses,
@@ -133,7 +152,7 @@ fn check_random_sequence(seed: u64, max_tuples: usize, steps: usize) {
         let mut previous = counters(&session.delta_stats());
 
         for step in 0..steps {
-            let delta = random_delta(&mut rng, session.left().len(), session.right().len());
+            let delta = random_delta(&mut rng, &session.left().tuples, &session.right().tuples);
             let report = session
                 .re_explain(&delta)
                 .unwrap_or_else(|e| panic!("seed {seed} step {step}: bad delta: {e}"));
@@ -185,7 +204,7 @@ fn re_explain_matches_the_stateless_pipeline_too() {
     );
     session.explain();
     for _ in 0..2 {
-        let delta = random_delta(&mut rng, session.left().len(), session.right().len());
+        let delta = random_delta(&mut rng, &session.left().tuples, &session.right().tuples);
         let report = session.re_explain(&delta).unwrap();
         let mapping =
             build_initial_mapping(session.left(), session.right(), &matches(), &cfg.mapping, None);
@@ -264,10 +283,11 @@ fn component_splits_and_merges_stay_identical() {
         "component merge diverged"
     );
 
-    // Revert the split: the original right tuple returns; the score cache
-    // should answer its pairs without recomputation.
-    let misses_before_revert = session.delta_stats().pair_cache_misses;
-    let revert = RelationDelta::new().update(Side::Right, 1, keyed("alpha beta", 1.0));
+    // Revert the split: the original right tuple (row and impact 2.0)
+    // returns, restoring the bridged component exactly as the first
+    // explain solved it, so the solution cache answers every component.
+    let before_revert = session.delta_stats();
+    let revert = RelationDelta::new().update(Side::Right, 1, keyed("alpha beta", 2.0));
     let report = session.re_explain(&revert).unwrap();
     assert_eq!(
         report_fingerprint(&report),
@@ -276,12 +296,13 @@ fn component_splits_and_merges_stay_identical() {
     );
     let after = session.delta_stats();
     assert!(
-        after.pair_cache_hits > mid.pair_cache_hits,
-        "reverted content must hit the score cache: {after:?}"
+        after.component_cache_hits > before_revert.component_cache_hits,
+        "the revert must hit the solution cache: {after:?}"
     );
-    // The reverted tuple's pairs were all seen before, so the revert adds
-    // no *new* pair scores beyond what the bridge insert's tuple may need.
-    assert!(after.pair_cache_misses >= misses_before_revert);
+    assert_eq!(
+        after.component_cache_misses, before_revert.component_cache_misses,
+        "the reverted component must be answered from the solution cache: {after:?}"
+    );
 }
 
 #[test]
@@ -301,7 +322,7 @@ fn strategies_other_than_smart_also_stay_identical() {
         );
         session.explain();
         for _ in 0..2 {
-            let delta = random_delta(&mut rng, session.left().len(), session.right().len());
+            let delta = random_delta(&mut rng, &session.left().tuples, &session.right().tuples);
             let report = session.re_explain(&delta).unwrap();
             assert_eq!(
                 report_fingerprint(&report),
@@ -325,7 +346,7 @@ fn small_deltas_on_larger_relations_mostly_hit_the_caches() {
     session.explain();
     let cold = session.delta_stats();
     // One single-tuple update.
-    let delta = random_delta(&mut rng, 1, 0); // left side, at most small ops
+    let delta = random_delta(&mut rng, &session.left().tuples[..1], &[]); // small ops
     let _ = session.re_explain(&delta).unwrap();
     let warm = session.delta_stats();
     let new_hits = warm.component_cache_hits - cold.component_cache_hits;
