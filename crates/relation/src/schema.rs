@@ -74,36 +74,36 @@ impl Schema {
     /// name or an unambiguous unqualified suffix. Ambiguous or unknown names
     /// return an error that lists the available columns.
     pub fn index_of(&self, name: &str) -> Result<usize, RelationError> {
-        let lname = name.to_ascii_lowercase();
         // Exact (case-insensitive) match first.
-        let exact: Vec<usize> = self
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.name.to_ascii_lowercase() == lname)
-            .map(|(i, _)| i)
-            .collect();
-        match exact.len() {
-            1 => return Ok(exact[0]),
-            n if n > 1 => return Err(RelationError::AmbiguousColumn { name: name.to_string() }),
-            _ => {}
+        if let Some(i) = self.unique_match(name, |c| c.name.eq_ignore_ascii_case(name))? {
+            return Ok(i);
         }
         // Fall back to matching the unqualified suffix.
-        let suffix: Vec<usize> = self
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.short_name().to_ascii_lowercase() == lname)
-            .map(|(i, _)| i)
-            .collect();
-        match suffix.len() {
-            1 => Ok(suffix[0]),
-            0 => Err(RelationError::UnknownColumn {
+        self.unique_match(name, |c| c.short_name().eq_ignore_ascii_case(name))?.ok_or_else(|| {
+            RelationError::UnknownColumn {
                 name: name.to_string(),
                 available: self.columns.iter().map(|c| c.name.clone()).collect(),
-            }),
-            _ => Err(RelationError::AmbiguousColumn { name: name.to_string() }),
+            }
+        })
+    }
+
+    /// The index of the one column satisfying `pred`: `None` when no column
+    /// does, an ambiguity error for `name` when several do.
+    fn unique_match(
+        &self,
+        name: &str,
+        pred: impl Fn(&Column) -> bool,
+    ) -> Result<Option<usize>, RelationError> {
+        let mut found = None;
+        for (i, c) in self.columns.iter().enumerate() {
+            if pred(c) {
+                if found.is_some() {
+                    return Err(RelationError::AmbiguousColumn { name: name.to_string() });
+                }
+                found = Some(i);
+            }
         }
+        Ok(found)
     }
 
     /// True when the named column resolves in this schema.
@@ -200,6 +200,43 @@ mod tests {
         let s = Schema::from_pairs(&[("a.id", ValueType::Int), ("b.id", ValueType::Int)]);
         assert!(matches!(s.index_of("id"), Err(RelationError::AmbiguousColumn { .. })));
         assert_eq!(s.index_of("a.id").unwrap(), 0);
+    }
+
+    #[test]
+    fn exact_match_beats_suffix_match() {
+        // "id" is the suffix of "a.id" but the exact name of column 1.
+        let s = Schema::from_pairs(&[("a.id", ValueType::Int), ("ID", ValueType::Int)]);
+        assert_eq!(s.index_of("id").unwrap(), 1);
+        assert_eq!(s.index_of("A.Id").unwrap(), 0);
+    }
+
+    #[test]
+    fn two_matches_are_ambiguous_at_either_level() {
+        let exact = Schema::from_pairs(&[("Name", ValueType::Str), ("name", ValueType::Str)]);
+        match exact.index_of("NAME") {
+            Err(RelationError::AmbiguousColumn { name }) => assert_eq!(name, "NAME"),
+            other => panic!("expected an ambiguity, got {other:?}"),
+        }
+        // Two exact matches are ambiguous even when a suffix would be unique.
+        let with_suffix = Schema::from_pairs(&[
+            ("x", ValueType::Int),
+            ("X", ValueType::Int),
+            ("t.y", ValueType::Int),
+        ]);
+        assert!(matches!(with_suffix.index_of("x"), Err(RelationError::AmbiguousColumn { .. })));
+        assert_eq!(with_suffix.index_of("Y").unwrap(), 2);
+    }
+
+    #[test]
+    fn unknown_column_lists_every_column_in_order() {
+        let s = Schema::from_pairs(&[("t.a", ValueType::Int), ("B", ValueType::Str)]);
+        match s.index_of("t.b") {
+            Err(RelationError::UnknownColumn { name, available }) => {
+                assert_eq!(name, "t.b");
+                assert_eq!(available, vec!["t.a".to_string(), "B".to_string()]);
+            }
+            other => panic!("expected an unknown column, got {other:?}"),
+        }
     }
 
     #[test]

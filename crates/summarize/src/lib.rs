@@ -10,6 +10,11 @@
 //! `attribute = value` patterns (up to a configurable width) that cover many
 //! target tuples while covering few non-target tuples, and greedily selects a
 //! small set of patterns that explains all targets.
+//!
+//! Pattern coverage is counted from per-column indexes built once per call,
+//! not by rescanning rows per candidate: a call costs one pass per column
+//! over targets and background plus pairs × background rows (at most 66
+//! pairs), and returns exactly what counting with [`Pattern::covers`] would.
 
 #![warn(missing_docs)]
 

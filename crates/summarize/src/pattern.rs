@@ -1,7 +1,12 @@
 //! Greedy pattern-tableau mining over "target" tuples.
+//!
+//! Candidates are single `attribute = value` conditions built from the
+//! targets' values, one per [`Value::loose_eq`] class and column, plus pairs
+//! of the twelve best-covering singles. Their coverage is counted from
+//! indexes (see [`summarize`]), never with `Schema::index_of` per row.
 
 use explain3d_relation::prelude::{Row, Schema, Value};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
 
 /// A conjunctive pattern: `attr1 = v1 AND attr2 = v2 AND ...`.
@@ -136,6 +141,17 @@ impl Summary {
 /// * `targets` — the rows touched by explanations;
 /// * `background` — all other rows of the same relation (used to measure a
 ///   pattern's false-positive coverage).
+///
+/// Coverage is counted from indexes, not by testing rows with
+/// [`Pattern::covers`], but the result is exactly what that would give.
+/// Each column name is resolved once. A single condition's targets are its
+/// value's `loose_eq` group, and its false positives are one lookup in a
+/// per-column count of the background. A pair's targets are the
+/// intersection of its singles' lists, and its false positives one
+/// background pass. The greedy cover counts the not yet covered entries of
+/// each selectable candidate's target list. Cost: one pass per column over
+/// targets and background, plus pairs (at most 66) × background rows, plus
+/// rounds × the candidates' target lists.
 pub fn summarize(
     schema: &Schema,
     targets: &[Row],
@@ -148,8 +164,15 @@ pub fn summarize(
     }
 
     // Enumerate candidate patterns: single conditions and (optionally) pairs,
-    // built from values that actually appear in target tuples.
-    let candidates = candidate_patterns(schema, targets, background, config);
+    // built from values that actually appear in target tuples. Only those
+    // that can be selected take part in the greedy cover.
+    let candidates: Vec<Candidate> = candidate_patterns(schema, targets, background, config)
+        .into_iter()
+        .filter(|c| {
+            !(c.pattern.precision() < config.min_precision
+                || c.pattern.target_coverage < config.min_coverage)
+        })
+        .collect();
 
     // Greedy weighted set cover over the targets.
     let mut covered = vec![false; targets.len()];
@@ -158,43 +181,32 @@ pub fn summarize(
         if config.max_patterns > 0 && selected.len() >= config.max_patterns {
             break;
         }
-        let mut best: Option<(usize, usize)> = None; // (candidate idx, new coverage)
-        for (ci, cand) in candidates.iter().enumerate() {
-            if cand.precision() < config.min_precision || cand.target_coverage < config.min_coverage
-            {
-                continue;
-            }
-            let new_cover = targets
-                .iter()
-                .enumerate()
-                .filter(|(ti, row)| !covered[*ti] && cand.covers(schema, row))
-                .count();
+        let mut best: Option<(&Candidate, usize)> = None; // (candidate, new coverage)
+        for cand in &candidates {
+            let new_cover = cand.targets.iter().filter(|&&ti| !covered[ti]).count();
             if new_cover == 0 {
                 continue;
             }
             let better = match best {
                 None => true,
-                Some((bi, bc)) => {
+                Some((b, bc)) => {
                     new_cover > bc
                         || (new_cover == bc
-                            && cand.precision() > candidates[bi].precision() + 1e-12)
+                            && cand.pattern.precision() > b.pattern.precision() + 1e-12)
                 }
             };
             if better {
-                best = Some((ci, new_cover));
+                best = Some((cand, new_cover));
             }
         }
-        let Some((ci, new_cover)) = best else { break };
+        let Some((chosen, new_cover)) = best else { break };
         if new_cover < config.min_coverage && !selected.is_empty() {
             break;
         }
-        let chosen = candidates[ci].clone();
-        for (ti, row) in targets.iter().enumerate() {
-            if chosen.covers(schema, row) {
-                covered[ti] = true;
-            }
+        for &ti in &chosen.targets {
+            covered[ti] = true;
         }
-        selected.push(chosen);
+        selected.push(chosen.pattern.clone());
         if covered.iter().all(|&c| c) {
             break;
         }
@@ -206,6 +218,43 @@ pub fn summarize(
     summary
 }
 
+/// A candidate pattern with the (ascending) indexes of the targets it covers.
+struct Candidate {
+    pattern: Pattern,
+    targets: Vec<usize>,
+}
+
+/// A value's class under [`Value::loose_eq`]: two values are `loose_eq`
+/// exactly when their keys are equal. Numbers (`Int`, `Float`, `Bool`) key
+/// by the bits of `as_f64()` with `-0.0` folded into `0.0`; NaN has no key
+/// because it is `loose_eq` to nothing.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum LooseKey<'a> {
+    Null,
+    Num(u64),
+    Str(&'a str),
+}
+
+fn loose_key(value: &Value) -> Option<LooseKey<'_>> {
+    match value {
+        Value::Null => Some(LooseKey::Null),
+        Value::Str(s) => Some(LooseKey::Str(s)),
+        _ => {
+            let x = value.as_f64()?;
+            if x.is_nan() {
+                None
+            } else {
+                Some(LooseKey::Num(if x == 0.0 { 0 } else { x.to_bits() }))
+            }
+        }
+    }
+}
+
+/// The key of the value in column `ci` of `row`, if it has one.
+fn key_at(row: &Row, ci: usize) -> Option<LooseKey<'_>> {
+    row.get(ci).and_then(loose_key)
+}
+
 /// Builds candidate patterns (width 1 and optionally 2) with their coverage
 /// statistics.
 fn candidate_patterns(
@@ -213,58 +262,98 @@ fn candidate_patterns(
     targets: &[Row],
     background: &[Row],
     config: &SummarizerConfig,
-) -> Vec<Pattern> {
-    // Count value frequencies per attribute over the targets.
-    let mut single: BTreeMap<(usize, String), (Value, usize)> = BTreeMap::new();
-    for row in targets {
+) -> Vec<Candidate> {
+    // A pattern names its column, and `covers` resolves that name: a column
+    // whose name is ambiguous (duplicate or case-variant) covers no row, so
+    // it forms no pattern. Any other name resolves to its own column.
+    let resolvable: Vec<bool> = schema
+        .columns()
+        .iter()
+        .enumerate()
+        .map(|(ci, c)| matches!(schema.index_of(&c.name), Ok(i) if i == ci))
+        .collect();
+    let usable = |ci: usize| resolvable.get(ci).copied().unwrap_or(false);
+
+    // Group target values per column by loose-equality class, in order of
+    // first occurrence; a group's members are exactly the targets its
+    // single-condition pattern covers. NULL and NaN form no pattern.
+    let mut index: HashMap<(usize, LooseKey<'_>), usize> = HashMap::new();
+    let mut groups: Vec<(usize, LooseKey<'_>, &Value, Vec<usize>)> = Vec::new();
+    for (ti, row) in targets.iter().enumerate() {
         for (ci, value) in row.values().iter().enumerate() {
-            if value.is_null() {
+            if value.is_null() || !usable(ci) {
                 continue;
             }
-            let key = (ci, value.to_string().to_ascii_lowercase());
-            single.entry(key).and_modify(|(_, n)| *n += 1).or_insert((value.clone(), 1));
+            let Some(key) = loose_key(value) else { continue };
+            let gi = *index.entry((ci, key)).or_insert_with(|| {
+                groups.push((ci, key, value, Vec::new()));
+                groups.len() - 1
+            });
+            groups[gi].3.push(ti);
         }
     }
+    // Order by column and lower-cased display of the first value; the sort
+    // is stable, so ties keep their first-occurrence order.
+    groups.sort_by_cached_key(|(ci, _, value, _)| (*ci, value.to_string().to_ascii_lowercase()));
 
-    let mut patterns: Vec<Pattern> = Vec::new();
-    let count_other = |p: &Pattern| background.iter().filter(|r| p.covers(schema, r)).count();
+    // Background counts: one pass per usable column.
+    let counts: Vec<HashMap<LooseKey<'_>, usize>> = (0..schema.arity())
+        .map(|ci| {
+            let mut column_counts = HashMap::new();
+            if usable(ci) {
+                for key in background.iter().filter_map(|r| key_at(r, ci)) {
+                    *column_counts.entry(key).or_insert(0) += 1;
+                }
+            }
+            column_counts
+        })
+        .collect();
 
-    let mut singles: Vec<Pattern> = Vec::new();
-    for ((ci, _), (value, target_cov)) in &single {
-        let Some(column) = schema.column(*ci) else { continue };
-        let mut p = Pattern {
-            conditions: vec![(column.name.clone(), value.clone())],
-            target_coverage: *target_cov,
-            other_coverage: 0,
-        };
-        p.other_coverage = count_other(&p);
-        singles.push(p);
-    }
+    let mut singles: Vec<(usize, LooseKey<'_>, Candidate)> = groups
+        .into_iter()
+        .map(|(ci, key, value, covered)| {
+            let pattern = Pattern {
+                conditions: vec![(schema.columns()[ci].name.clone(), value.clone())],
+                target_coverage: covered.len(),
+                other_coverage: counts[ci].get(&key).copied().unwrap_or(0),
+            };
+            (ci, key, Candidate { pattern, targets: covered })
+        })
+        .collect();
     // Highest coverage first so pair generation combines promising singles.
-    singles.sort_by_key(|p| std::cmp::Reverse(p.target_coverage));
+    singles.sort_by_key(|(_, _, c)| std::cmp::Reverse(c.pattern.target_coverage));
 
+    let mut patterns: Vec<Candidate> = Vec::new();
     if config.max_conditions >= 2 {
-        let top: Vec<&Pattern> = singles.iter().take(12).collect();
-        for (i, a) in top.iter().enumerate() {
-            for b in top.iter().skip(i + 1) {
-                if a.conditions[0].0 == b.conditions[0].0 {
+        let top = &singles[..singles.len().min(12)];
+        for (i, (ca, ka, a)) in top.iter().enumerate() {
+            for (cb, kb, b) in &top[i + 1..] {
+                if ca == cb {
                     continue; // same attribute twice is unsatisfiable
                 }
-                let mut p = Pattern {
-                    conditions: vec![a.conditions[0].clone(), b.conditions[0].clone()],
-                    target_coverage: 0,
-                    other_coverage: 0,
-                };
-                p.target_coverage = targets.iter().filter(|r| p.covers(schema, r)).count();
-                if p.target_coverage == 0 {
+                let covered: Vec<usize> = (a.targets.iter().copied())
+                    .filter(|&ti| key_at(&targets[ti], *cb) == Some(*kb))
+                    .collect();
+                if covered.is_empty() {
                     continue;
                 }
-                p.other_coverage = count_other(&p);
-                patterns.push(p);
+                let other = background
+                    .iter()
+                    .filter(|r| key_at(r, *ca) == Some(*ka) && key_at(r, *cb) == Some(*kb))
+                    .count();
+                let pattern = Pattern {
+                    conditions: vec![
+                        a.pattern.conditions[0].clone(),
+                        b.pattern.conditions[0].clone(),
+                    ],
+                    target_coverage: covered.len(),
+                    other_coverage: other,
+                };
+                patterns.push(Candidate { pattern, targets: covered });
             }
         }
     }
-    patterns.extend(singles);
+    patterns.extend(singles.into_iter().map(|(_, _, c)| c));
     patterns
 }
 
@@ -407,6 +496,43 @@ mod tests {
         let cfg = SummarizerConfig { min_coverage: 0, min_precision: 0.0, ..Default::default() };
         let s = summarize(&schema(), &targets, &[], &cfg);
         assert!(s.patterns.iter().all(|p| p.target_coverage > 0));
+    }
+
+    /// Summarises one-column targets with the default config and checks
+    /// every selected pattern's `target_coverage` against `covers`.
+    fn summarize_one_column(values: Vec<Value>) -> Summary {
+        let schema = Schema::from_pairs(&[("flag", ValueType::Unknown)]);
+        let targets: Vec<Row> = values.into_iter().map(|v| Row::new(vec![v])).collect();
+        let summary = summarize(&schema, &targets, &[], &SummarizerConfig::default());
+        for p in &summary.patterns {
+            let covered = targets.iter().filter(|r| p.covers(&schema, r)).count();
+            assert_eq!(p.target_coverage, covered, "{p} disagrees with covers");
+        }
+        summary
+    }
+
+    #[test]
+    fn case_variant_strings_are_separate_patterns() {
+        // "Foo" does not cover "foo": no pattern reaches min_coverage 2.
+        let summary = summarize_one_column(vec![Value::str("Foo"), Value::str("foo")]);
+        assert!(summary.patterns.is_empty(), "{:?}", summary.patterns);
+        assert_eq!(summary.uncovered_targets, vec![0, 1]);
+    }
+
+    #[test]
+    fn a_string_is_not_grouped_with_a_bool_of_the_same_display() {
+        let summary = summarize_one_column(vec![Value::str("true"), Value::Bool(true)]);
+        assert!(summary.patterns.is_empty(), "{:?}", summary.patterns);
+        assert_eq!(summary.uncovered_targets, vec![0, 1]);
+    }
+
+    #[test]
+    fn loosely_equal_values_form_one_pattern() {
+        // Bool(true) and Int(1) are loose_eq, so one pattern covers both.
+        let summary = summarize_one_column(vec![Value::Bool(true), Value::Int(1)]);
+        assert_eq!(summary.patterns.len(), 1, "{:?}", summary.patterns);
+        assert_eq!(summary.patterns[0].target_coverage, 2);
+        assert!(summary.uncovered_targets.is_empty());
     }
 
     #[test]
