@@ -13,6 +13,13 @@ use explain3d_linkage::TupleMapping;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+/// How far two impacts may differ and still count as equal: the tolerance
+/// of [`ExplanationSet::is_complete`], and the one Stage 2 uses to decide
+/// whether an impact changed (`encode::decode`, `encode::heuristic_solution`,
+/// `encode::exact_solution`). A solver that paid for a value change larger
+/// than this always reports it, so its explanations stay complete.
+pub const IMPACT_TOLERANCE: f64 = 1e-6;
+
 /// Which canonical relation a tuple-level explanation refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Side {
@@ -229,7 +236,7 @@ impl ExplanationSet {
         right: &CanonicalRelation,
         relation: SemanticRelation,
     ) -> bool {
-        self.completeness_violations(left, right, relation, 1e-6).is_empty()
+        self.completeness_violations(left, right, relation, IMPACT_TOLERANCE).is_empty()
     }
 
     /// Renders the explanations against the canonical relations, using the

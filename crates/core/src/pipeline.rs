@@ -6,12 +6,14 @@
 //!
 //! 1. builds the bipartite mapping graph,
 //! 2. splits it according to the configured [`PartitioningStrategy`],
-//! 3. encodes and solves one MILP per sub-problem,
+//! 3. solves each connected component of each sub-problem — exactly by
+//!    enumeration when it has at most `EXACT_MAX_MATCHES` matches, else by
+//!    encoding and solving its MILP,
 //! 4. merges the decoded explanations and scores the result.
 
 use crate::attr_match::AttributeMatches;
 use crate::canonical::CanonicalRelation;
-use crate::encode::{solve_subproblem, SubProblem};
+use crate::encode::{exact_solution, solve_subproblem, SubProblem};
 use crate::explanation::ExplanationSet;
 use crate::probability::{log_probability, ProbabilityParams};
 use explain3d_linkage::TupleMapping;
@@ -483,15 +485,29 @@ pub struct ComponentOutcome {
     pub basis_imported: bool,
 }
 
-/// Encodes and solves one component: the work-stealing scheduler's work
-/// item, shared by the parallel and sequential solve paths — and by the
-/// incremental re-explanation subsystem, which calls it for dirty
-/// components only. `warm_basis` optionally imports a persisted root basis
+/// Solves one component: the work-stealing scheduler's work item, shared by
+/// the parallel and sequential solve paths — and by the incremental
+/// re-explanation subsystem, which calls it for dirty components only.
+///
+/// A component with at most [`EXACT_MAX_MATCHES`] matches is solved by
+/// [`exact_solution`], which enumerates its kept-match sets instead of
+/// building a MILP; on the benchmark's cases that is nearly every
+/// component (see [`EXACT_MAX_MATCHES`]). The enumerator returns the MILP's
+/// optimum and reports a value change where [`decode`] does (on the
+/// group's anchor), so both paths give the same answer.
+/// Its outcome has `nodes`, `suboptimal` and `warm_lp_solves` at 0 and no
+/// `final_basis`.
+///
+/// Larger components are encoded and solved by branch and bound
+/// (Algorithm 1). `warm_basis` optionally imports a persisted root basis
 /// from a previous solve of a similar component
 /// ([`explain3d_milp::prelude::MilpConfig::initial_basis`]); pass `None`
 /// for the exact cold path (a successful import can legitimately pick a
 /// different equally-optimal solution, so byte-identical re-explanations
-/// must not import).
+/// must not import). It is ignored for components the enumerator solves.
+///
+/// [`decode`]: crate::encode::decode
+/// [`EXACT_MAX_MATCHES`]: crate::encode::EXACT_MAX_MATCHES
 pub fn solve_component(
     left: &CanonicalRelation,
     right: &CanonicalRelation,
@@ -501,6 +517,17 @@ pub fn solve_component(
     warm_basis: Option<explain3d_milp::prelude::SparseBasis>,
 ) -> ComponentOutcome {
     let comp_start = Instant::now();
+    if let Some((explanations, _)) = exact_solution(left, right, relation, &config.params, comp) {
+        return ComponentOutcome {
+            explanations,
+            nodes: 0,
+            suboptimal: 0,
+            warm_lp_solves: 0,
+            solve_time: comp_start.elapsed(),
+            final_basis: None,
+            basis_imported: false,
+        };
+    }
     let encoded = crate::encode::encode(left, right, relation, &config.params, comp);
     // Warm-start the branch-and-bound with a greedily-constructed
     // complete solution so obviously-worse branches are pruned early;
@@ -726,6 +753,48 @@ mod tests {
         assert!(report.explanations.is_empty());
         assert!(report.complete);
         assert_eq!(report.stats.num_subproblems, 0);
+    }
+
+    /// One ≡ pair whose impacts differ by `gap`, matched at p = 0.9. The
+    /// report must be complete and score exactly the component's optimum.
+    fn assert_small_gap_is_explained(gap: f64) {
+        let t1 = canon("Q1", &[("a", 1.0)]);
+        let t2 = canon("Q2", &[("a", 1.0 + gap)]);
+        let mut mapping = TupleMapping::new();
+        mapping.push(TupleMatch::new(0, 0, 0.9));
+        let report = Explain3D::with_defaults().explain(&t1, &t2, &attr(), &mapping);
+        let relation = attr().mapping_relation();
+        let params = ProbabilityParams::default();
+        let sub = SubProblem::full(&t1, &t2, &mapping);
+        let (_, objective) = exact_solution(&t1, &t2, relation, &params, &sub).unwrap();
+        assert!(report.complete, "gap {gap}: incomplete {:?}", report.explanations);
+        assert!(
+            (report.log_probability - objective).abs() < 1e-9,
+            "gap {gap}: scored {} for optimum {objective}",
+            report.log_probability
+        );
+        if gap > crate::explanation::IMPACT_TOLERANCE {
+            // Above the tolerance the MILP pays for the change too.
+            let (_, solution) =
+                solve_subproblem(&t1, &t2, relation, &params, &sub, &MilpConfig::default());
+            assert!((solution.objective - objective).abs() < 1e-9, "gap {gap}");
+            assert_eq!(report.explanations.value.len(), 1, "gap {gap}");
+        }
+    }
+
+    #[test]
+    fn value_change_of_5e_5_is_reported() {
+        assert_small_gap_is_explained(5e-5);
+    }
+
+    #[test]
+    fn value_change_of_5e_6_is_reported() {
+        assert_small_gap_is_explained(5e-6);
+    }
+
+    #[test]
+    fn impact_gap_of_5e_8_is_within_tolerance() {
+        assert_small_gap_is_explained(5e-8);
     }
 
     #[test]

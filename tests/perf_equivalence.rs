@@ -211,19 +211,56 @@ fn parallel_and_sequential_pipelines_are_byte_identical() {
 /// `time_limit`, a limit-hit search may explore fewer nodes under thread
 /// contention — that is the only nondeterminism window, and this test pins
 /// it down to exactly that case.)
+/// `case`'s canonical relations and initial mapping plus a dense
+/// `size`×`size` block: `size` new tuples per side, impact 1, every pair
+/// matched at p = 0.6. With `size` = 5 the block is one component of 25
+/// matches, above `EXACT_MAX_MATCHES`, so the MILP (not the exact
+/// enumerator) solves it, and its many tied optima make the search branch.
+fn with_dense_block(
+    case: &explain3d::datagen::GeneratedCase,
+    size: usize,
+) -> (CanonicalRelation, CanonicalRelation, TupleMapping) {
+    let mut left = case.prepared.left_canonical.clone();
+    let mut right = case.prepared.right_canonical.clone();
+    let mut mapping = case.initial_mapping.clone();
+    let (l0, r0) = (left.len(), right.len());
+    for (rel, start) in [(&mut left, l0), (&mut right, r0)] {
+        let template = rel.tuples[0].clone();
+        for k in 0..size {
+            rel.tuples.push(CanonicalTuple { id: start + k, impact: 1.0, ..template.clone() });
+        }
+    }
+    for l in 0..size {
+        for r in 0..size {
+            mapping.push(TupleMatch::new(l0 + l, r0 + r, 0.6));
+        }
+    }
+    (left, right, mapping)
+}
+
+/// The deterministic-deadline regression ROADMAP asks for: when the MILP
+/// search is bounded by a *node budget* instead of a wall-clock time limit,
+/// parallel and sequential Stage-2 runs must stay byte-identical **even
+/// when sub-problems hit the limit**. (With the default wall-clock
+/// `time_limit`, a limit-hit search may explore fewer nodes under thread
+/// contention — that is the only nondeterminism window, and this test pins
+/// it down to exactly that case.) Components of at most
+/// `EXACT_MAX_MATCHES` matches are solved by enumeration, which never hits
+/// a limit, so the input carries a dense block the MILP must solve.
 #[test]
 fn node_limited_deadline_is_deterministic_even_when_hit() {
     let case = generate_synthetic(&SyntheticConfig::new(90, 0.35, 300));
+    let (left, right, mapping) = with_dense_block(&case, 5);
     // A node budget tight enough that some sub-problems cannot prove
     // optimality — the scenario where a wall-clock limit would diverge.
     let milp = MilpConfig { time_limit: None, max_nodes: 3, ..Default::default() };
     let config = Explain3DConfig::batched(24).with_milp(milp);
     let run = |parallel: bool| {
         Explain3D::new(config.clone().with_parallel(parallel)).explain(
-            &case.prepared.left_canonical,
-            &case.prepared.right_canonical,
+            &left,
+            &right,
             &case.attribute_matches,
-            &case.initial_mapping,
+            &mapping,
         )
     };
     let par = run(true);
