@@ -10,14 +10,9 @@
 //! * `fig7_imdb` — average accuracy over the IMDb query templates and
 //!   runtime vs. provenance size (Figure 7 a–c);
 //! * `fig8_synthetic` — solve time of NoOpt / Batch-100 / Batch-1000 over
-//!   the synthetic sweeps in `n`, `d`, and `v` (Figure 8 a–c);
-//!
-//! plus two Criterion benches (`synthetic`, `academic`) that time the hot
-//! paths with statistical rigour.
+//!   the synthetic sweeps in `n`, `d`, and `v` (Figure 8 a–c).
 
 #![warn(missing_docs)]
-
-pub mod timing;
 
 use explain3d::datagen::GeneratedCase;
 use explain3d::prelude::*;

@@ -6,10 +6,10 @@
 //!
 //! The framework has three stages:
 //!
-//! 1. **Canonicalisation** ([`canonical`], [`prepare`]): execute both
+//! 1. **Canonicalisation** ([`canonical`], [`prepare`](mod@prepare)): execute both
 //!    queries, derive provenance relations, and group provenance tuples by
 //!    the matching attributes of [`attr_match::AttributeMatches`].
-//! 2. **Optimal explanation search** ([`encode`], [`pipeline`]): encode the
+//! 2. **Optimal explanation search** ([`encode`](mod@encode), [`pipeline`]): encode the
 //!    EXP-3D problem as a MILP (Eq. 7–13) — per sub-problem produced by the
 //!    configured partitioning strategy — solve it, and decode the result
 //!    into provenance-based and value-based [`explanation`]s together with

@@ -159,9 +159,6 @@ pub struct DeltaStats {
     pub parts_reused: usize,
     /// Packed parts containing at least one re-solved component.
     pub parts_dirty: usize,
-    /// Dirty-component solves that successfully imported a persisted basis
-    /// ([`explain3d_milp::prelude::SolveStats::final_basis`]).
-    pub warm_basis_imports: usize,
 }
 
 /// Timing and size statistics for a pipeline run.
@@ -477,12 +474,6 @@ pub struct ComponentOutcome {
     pub warm_lp_solves: usize,
     /// Encode + solve wall-clock time.
     pub solve_time: Duration,
-    /// The root relaxation's exported basis, for persisting across
-    /// incremental re-explanations (`None` for empty models or dense-kernel
-    /// solves).
-    pub final_basis: Option<explain3d_milp::prelude::SparseBasis>,
-    /// Whether a caller-supplied `warm_basis` was accepted.
-    pub basis_imported: bool,
 }
 
 /// Solves one component: the work-stealing scheduler's work item, shared by
@@ -495,16 +486,14 @@ pub struct ComponentOutcome {
 /// component (see [`EXACT_MAX_MATCHES`]). The enumerator returns the MILP's
 /// optimum and reports a value change where [`decode`] does (on the
 /// group's anchor), so both paths give the same answer.
-/// Its outcome has `nodes`, `suboptimal` and `warm_lp_solves` at 0 and no
-/// `final_basis`.
+/// Its outcome has `nodes`, `suboptimal` and `warm_lp_solves` at 0.
 ///
 /// Larger components are encoded and solved by branch and bound
-/// (Algorithm 1). `warm_basis` optionally imports a persisted root basis
-/// from a previous solve of a similar component
-/// ([`explain3d_milp::prelude::MilpConfig::initial_basis`]); pass `None`
-/// for the exact cold path (a successful import can legitimately pick a
-/// different equally-optimal solution, so byte-identical re-explanations
-/// must not import). It is ignored for components the enumerator solves.
+/// (Algorithm 1), each from a cold root: no solver state carries over
+/// from one component's solve to the next.
+///
+/// `warm_basis` is ignored and must be `None`. It remains only so that
+/// existing callers keep compiling; it will be removed.
 ///
 /// [`decode`]: crate::encode::decode
 /// [`EXACT_MAX_MATCHES`]: crate::encode::EXACT_MAX_MATCHES
@@ -516,6 +505,7 @@ pub fn solve_component(
     comp: &SubProblem,
     warm_basis: Option<explain3d_milp::prelude::SparseBasis>,
 ) -> ComponentOutcome {
+    debug_assert!(warm_basis.is_none(), "solve_component ignores warm_basis; pass None");
     let comp_start = Instant::now();
     if let Some((explanations, _)) = exact_solution(left, right, relation, &config.params, comp) {
         return ComponentOutcome {
@@ -524,8 +514,6 @@ pub fn solve_component(
             suboptimal: 0,
             warm_lp_solves: 0,
             solve_time: comp_start.elapsed(),
-            final_basis: None,
-            basis_imported: false,
         };
     }
     let encoded = crate::encode::encode(left, right, relation, &config.params, comp);
@@ -535,7 +523,7 @@ pub fn solve_component(
     // a node or time limit without an incumbent.
     let (fallback, hint) =
         crate::encode::heuristic_solution(left, right, relation, &config.params, comp);
-    let milp_config = config.milp.clone().with_incumbent_hint(hint).with_initial_basis(warm_basis);
+    let milp_config = config.milp.clone().with_incumbent_hint(hint);
     let (solution, solve_stats) =
         explain3d_milp::branch_bound::solve_with_stats(&encoded.model, &milp_config);
     let explanations = if solution.status.has_solution() {
@@ -551,8 +539,6 @@ pub fn solve_component(
         suboptimal: usize::from(solution.status != explain3d_milp::prelude::SolveStatus::Optimal),
         warm_lp_solves: solve_stats.warm_lp_solves,
         solve_time: comp_start.elapsed(),
-        final_basis: solve_stats.final_basis,
-        basis_imported: solve_stats.basis_imported,
     }
 }
 

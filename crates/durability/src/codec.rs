@@ -498,11 +498,11 @@ pub fn dec_matches(d: &mut Dec<'_>) -> Result<AttributeMatches, CodecError> {
 /// Encodes a session configuration.
 ///
 /// Every field that changes the deterministic output of an explain run is
-/// persisted bit-exactly. The one deliberate omission is
-/// `MilpConfig::initial_basis`: a warm-start basis is transient solver
-/// state, not configuration — a recovered session starts basis-cold exactly
-/// like a fresh one (and the default `warm_start_dirty: false` sessions
-/// never diverge on that anyway).
+/// persisted bit-exactly. The `E3DSNAP2` layout also keeps three slots of
+/// removed settings: the MILP basis-export flag, the session warm-start
+/// flag and the pair-score cache cap. They are written as `false`,
+/// `false` and `None`; [`dec_session_config`] reads and discards them,
+/// so snapshots written with those settings still decode.
 pub fn enc_session_config(e: &mut Enc, c: &SessionConfig) {
     let ProbabilityParams { alpha, beta, prob_floor } = c.explain.params;
     e.f64(alpha);
@@ -523,7 +523,7 @@ pub fn enc_session_config(e: &mut Enc, c: &SessionConfig) {
     e.f64(m.int_tolerance);
     e.f64(m.gap_tolerance);
     e.opt_f64(m.incumbent_hint);
-    e.bool(m.export_basis);
+    e.bool(false); // removed basis-export flag: slot kept in the E3DSNAP2 layout
     e.u8(match m.lp_kernel {
         LpKernel::Sparse => 0,
         LpKernel::Dense => 1,
@@ -539,7 +539,7 @@ pub fn enc_session_config(e: &mut Enc, c: &SessionConfig) {
     e.f64(c.mapping.min_similarity);
     e.bool(c.mapping.use_blocking);
     e.usize(c.mapping.sample_every);
-    e.bool(c.warm_start_dirty);
+    e.bool(false); // removed warm-start flag: slot kept in the E3DSNAP2 layout
     e.opt_u64(None); // removed pair-score cache cap: slot kept in the E3DSNAP2 layout
 }
 
@@ -554,15 +554,20 @@ pub fn dec_session_config(d: &mut Dec<'_>) -> Result<SessionConfig, CodecError> 
         2 => PartitioningStrategy::Smart { batch_size: d.usize()? },
         _ => return Err(CodecError::Invalid("strategy tag")),
     };
+    let max_nodes = d.usize()?;
+    let deadline = d.opt_duration()?;
+    let time_limit = d.opt_duration()?;
+    let int_tolerance = d.f64()?;
+    let gap_tolerance = d.f64()?;
+    let incumbent_hint = d.opt_f64()?;
+    d.bool()?; // removed basis-export flag: slot kept in the E3DSNAP2 layout
     let milp = MilpConfig {
-        max_nodes: d.usize()?,
-        deadline: d.opt_duration()?,
-        time_limit: d.opt_duration()?,
-        int_tolerance: d.f64()?,
-        gap_tolerance: d.f64()?,
-        incumbent_hint: d.opt_f64()?,
-        initial_basis: None,
-        export_basis: d.bool()?,
+        max_nodes,
+        deadline,
+        time_limit,
+        int_tolerance,
+        gap_tolerance,
+        incumbent_hint,
         lp_kernel: match d.u8()? {
             0 => LpKernel::Sparse,
             1 => LpKernel::Dense,
@@ -587,7 +592,7 @@ pub fn dec_session_config(d: &mut Dec<'_>) -> Result<SessionConfig, CodecError> 
         use_blocking: d.bool()?,
         sample_every: d.usize()?,
     };
-    let warm_start_dirty = d.bool()?;
+    d.bool()?; // removed warm-start flag: slot kept in the E3DSNAP2 layout
     d.opt_u64()?; // removed pair-score cache cap: slot kept in the E3DSNAP2 layout
     Ok(SessionConfig {
         explain: Explain3DConfig {
@@ -598,7 +603,6 @@ pub fn dec_session_config(d: &mut Dec<'_>) -> Result<SessionConfig, CodecError> 
             threads,
         },
         mapping,
-        warm_start_dirty,
     })
 }
 
@@ -706,7 +710,6 @@ mod tests {
         config.explain.threads = Some(3);
         config.mapping.metric = StringMetric::JaroWinkler;
         config.mapping.min_similarity = 0.42;
-        config.warm_start_dirty = true;
         let mut e = Enc::new();
         enc_session_config(&mut e, &config);
         let bytes = e.into_bytes();
@@ -719,7 +722,57 @@ mod tests {
         assert_eq!(back.explain.threads, config.explain.threads);
         assert_eq!(back.mapping.metric, config.mapping.metric);
         assert_eq!(back.mapping.min_similarity, config.mapping.min_similarity);
-        assert_eq!(back.warm_start_dirty, config.warm_start_dirty);
+    }
+
+    #[test]
+    fn removed_config_slots_decode_when_set() {
+        // A snapshot of a session that had basis export and warm starts
+        // switched on carries `true` in the two kept bool slots. It must
+        // still decode, and every other field must survive.
+        let mut config = SessionConfig::default();
+        config.explain.strategy = PartitioningStrategy::Smart { batch_size: 77 };
+        config.explain.milp.max_nodes = 4321;
+        config.explain.milp.deadline = Some(Duration::from_millis(123));
+        config.explain.milp.time_limit = None;
+        config.explain.milp.incumbent_hint = Some(-3.25);
+        config.explain.milp.lp_kernel = LpKernel::Dense;
+        config.explain.milp.warm_start = false;
+        config.explain.parallel = true;
+        config.explain.threads = Some(3);
+        config.mapping.metric = StringMetric::Jaro;
+        config.mapping.min_similarity = 0.42;
+        config.mapping.use_blocking = false;
+        config.mapping.sample_every = 9;
+        let mut e = Enc::new();
+        enc_session_config(&mut e, &config);
+        let clean = e.into_bytes();
+        // params (3 × 8), strategy (1 + 8), max_nodes (8), deadline
+        // (1 + 8), time limit (1), two tolerances (2 × 8), incumbent
+        // hint (1 + 8), then the basis-export slot.
+        let export_slot = 24 + 9 + 8 + 9 + 1 + 16 + 9;
+        // The warm-start slot precedes the one-byte `None` cap slot.
+        let warm_slot = clean.len() - 2;
+        for slot in [export_slot, warm_slot] {
+            assert_eq!(clean[slot], 0, "kept slots are written as false");
+            // A non-bool byte is rejected as a bool tag, so `slot` is a
+            // bool slot read by the decoder.
+            let mut bad = clean.clone();
+            bad[slot] = 2;
+            let err = dec_session_config(&mut Dec::new(&bad)).unwrap_err();
+            assert_eq!(err, CodecError::Invalid("bool tag"));
+        }
+        let mut old = clean.clone();
+        old[export_slot] = 1;
+        old[warm_slot] = 1;
+        let mut d = Dec::new(&old);
+        let back = dec_session_config(&mut d).unwrap();
+        assert!(d.finished());
+        // The encoding is bit-exact, so re-encoding to the clean bytes
+        // shows every other field round-tripped and the slots are written
+        // back as false.
+        let mut e = Enc::new();
+        enc_session_config(&mut e, &back);
+        assert_eq!(e.into_bytes(), clean);
     }
 
     #[test]

@@ -139,14 +139,12 @@ fn snapshot_golden_decodes_to_the_fixed_session() {
     assert_eq!(c.explain.milp.deadline, Some(Duration::from_millis(40)));
     assert_eq!(c.explain.milp.time_limit, None);
     assert_eq!(c.explain.milp.incumbent_hint, Some(-3.25));
-    assert!(c.explain.milp.initial_basis.is_none());
     assert!(c.explain.parallel);
     assert_eq!(c.explain.threads, Some(2));
     assert_eq!(c.mapping.metric, StringMetric::JaroWinkler);
     assert_eq!(c.mapping.min_similarity.to_bits(), 0.42f64.to_bits());
     assert!(!c.mapping.use_blocking);
     assert_eq!(c.mapping.sample_every, 5);
-    assert!(!c.warm_start_dirty);
 }
 
 #[test]

@@ -14,8 +14,7 @@
 //!   carried-over candidate list (only pairs with a dirty endpoint are
 //!   re-scored) and a content-hashed per-component MILP solution cache
 //!   (local coordinates, so solutions survive index shifts); dirty
-//!   components optionally warm-start from persisted `milp::revised`
-//!   bases ([`SessionConfig::warm_start_dirty`]);
+//!   components re-solve from a cold root, exactly as in a cold run;
 //! * [`session::report_fingerprint`] — the canonical byte serialisation
 //!   under which `re_explain` output is **byte-identical** to a cold run on
 //!   the post-delta data (pinned by `tests/incremental_equivalence.rs`).

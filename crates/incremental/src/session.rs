@@ -38,12 +38,9 @@
 //!    local coordinates and re-bound to the new tuple indices on reuse, so
 //!    a hit reproduces exactly what re-solving would produce. Misses are
 //!    solved through the same [`explain3d_core::pipeline::solve_component`]
-//!    entry point as the cold pipeline — by default **without** importing a
-//!    persisted basis, because a warm-started search may legitimately pick
-//!    a different equally-optimal solution
-//!    ([`SessionConfig::warm_start_dirty`] opts into the faster,
-//!    objective-equivalent mode and stores/imports bases via
-//!    `milp::revised`).
+//!    entry point as the cold pipeline, from a cold root: no solver state
+//!    carries over between solves, so a re-solved component decodes
+//!    exactly as it would in a cold run.
 //! 4. **Merge.** Outcomes are folded by the shared
 //!    [`explain3d_core::pipeline::assemble_report`] in job order.
 //!
@@ -60,7 +57,6 @@ use explain3d_core::prelude::{
 };
 use explain3d_linkage::generator::{candidate_pairs_streaming, Candidate, MappingConfig};
 use explain3d_linkage::{BucketCalibrator, TupleMapping, TupleMatch};
-use explain3d_milp::prelude::SparseBasis;
 use explain3d_relation::prelude::Row;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -77,14 +73,6 @@ pub struct SessionConfig {
     pub explain: Explain3DConfig,
     /// Initial-mapping options (metric, similarity floor, blocking).
     pub mapping: MappingOptions,
-    /// Warm-start dirty components from the persisted final basis of a
-    /// previous structurally-matching solve. **Off by default**: a warm
-    /// root can steer the branch-and-bound to a different equally-optimal
-    /// solution, which would break the byte-identical-to-cold invariant;
-    /// with it off, dirty components re-solve exactly as the cold pipeline
-    /// does. Turn it on for latency-critical sessions that only need
-    /// objective-equivalent output.
-    pub warm_start_dirty: bool,
 }
 
 /// One memoised component solution, in local coordinates: positions into
@@ -175,8 +163,6 @@ impl CachedComponent {
             suboptimal: self.suboptimal,
             warm_lp_solves: self.warm_lp_solves,
             solve_time: std::time::Duration::ZERO,
-            final_basis: None,
-            basis_imported: false,
         }
     }
 }
@@ -193,7 +179,6 @@ pub struct ExplainSession {
     right: CanonicalRelation,
     candidates: Vec<Candidate>,
     solutions: HashMap<u64, CachedComponent>,
-    bases_by_shape: HashMap<(usize, usize, usize), SparseBasis>,
     generation: u64,
     stats: DeltaStats,
     explained: bool,
@@ -205,13 +190,8 @@ impl ExplainSession {
         left: CanonicalRelation,
         right: CanonicalRelation,
         matches: AttributeMatches,
-        mut config: SessionConfig,
+        config: SessionConfig,
     ) -> Self {
-        // Warm mode needs each solve to export its root basis; the exact
-        // mode leaves the export off so the cold path pays nothing for it.
-        if config.warm_start_dirty {
-            config.explain.milp.export_basis = true;
-        }
         let mapping_config = config.mapping.mapping_config(&matches);
         ExplainSession {
             config,
@@ -222,7 +202,6 @@ impl ExplainSession {
             right,
             candidates: Vec::new(),
             solutions: HashMap::new(),
-            bases_by_shape: HashMap::new(),
             generation: 0,
             stats: DeltaStats::default(),
             explained: false,
@@ -239,7 +218,7 @@ impl ExplainSession {
         &self.right
     }
 
-    /// The session's configuration (as normalised by [`ExplainSession::new`]).
+    /// The session's configuration.
     pub fn config(&self) -> &SessionConfig {
         &self.config
     }
@@ -271,8 +250,8 @@ impl ExplainSession {
     }
 
     /// Estimated resident bytes of everything the session memoises: the
-    /// carried-over candidate list, the per-component MILP solution cache,
-    /// and the persisted warm-start bases. This is the quantity a hosting
+    /// carried-over candidate list and the per-component MILP solution
+    /// cache. This is the quantity a hosting
     /// registry's memory budget is enforced against — it grows while
     /// caches fill and drops when solution-cache eviction frees entries.
     /// The relations themselves are *not* counted: they are the session's
@@ -283,12 +262,7 @@ impl ExplainSession {
             .values()
             .map(|c| std::mem::size_of::<u64>() + c.memory_footprint())
             .sum();
-        let bases: usize = self
-            .bases_by_shape
-            .values()
-            .map(|b| std::mem::size_of::<(usize, usize, usize)>() + b.memory_footprint())
-            .sum();
-        self.candidates.capacity() * std::mem::size_of::<Candidate>() + solutions + bases
+        self.candidates.capacity() * std::mem::size_of::<Candidate>() + solutions
     }
 
     /// Overrides the deterministic MILP deadline for subsequent solves,
@@ -474,7 +448,7 @@ impl ExplainSession {
 
         // Resolve cache hits; collect misses with their job slots.
         let mut slots: Vec<Option<(usize, ComponentOutcome)>> = Vec::with_capacity(jobs.len());
-        let mut missed: Vec<(usize, usize, SubProblem, Option<SparseBasis>)> = Vec::new();
+        let mut missed: Vec<(usize, usize, SubProblem)> = Vec::new();
         let mut part_missed = vec![false; meta.part_sizes.len()];
         for (slot, ((part, sub), hash)) in jobs.into_iter().zip(&hashes).enumerate() {
             if let Some(entry) = self.solutions.get_mut(hash) {
@@ -484,12 +458,7 @@ impl ExplainSession {
             } else {
                 self.stats.component_cache_misses += 1;
                 part_missed[part] = true;
-                let warm = if self.config.warm_start_dirty {
-                    self.bases_by_shape.get(&component_shape(&sub)).cloned()
-                } else {
-                    None
-                };
-                missed.push((slot, part, sub, warm));
+                missed.push((slot, part, sub));
                 slots.push(None);
             }
         }
@@ -511,23 +480,13 @@ impl ExplainSession {
         let (solved, sched) = explain3d_parallel::par_map_stealing_weighted(
             missed,
             requested,
-            |(_, _, sub, _)| sub.size().max(1),
-            |(slot, part, sub, warm)| {
-                let outcome = solve_component(left, right, relation, explain_config, &sub, warm);
+            |(_, _, sub)| sub.size().max(1),
+            |(slot, part, sub)| {
+                let outcome = solve_component(left, right, relation, explain_config, &sub, None);
                 (slot, part, sub, outcome)
             },
         );
         for (slot, part, sub, outcome) in solved {
-            if outcome.basis_imported {
-                self.stats.warm_basis_imports += 1;
-            }
-            // Bases are only exported (and worth retaining) in warm mode;
-            // in the default exact mode `final_basis` is always `None`.
-            if self.config.warm_start_dirty {
-                if let Some(basis) = &outcome.final_basis {
-                    self.bases_by_shape.insert(component_shape(&sub), basis.clone());
-                }
-            }
             self.solutions
                 .insert(hashes[slot], CachedComponent::capture(&sub, &outcome, generation));
             slots[slot] = Some((part, outcome));
@@ -604,13 +563,6 @@ impl ExplainSession {
         }
         h.finish()
     }
-}
-
-/// The structural shape of a component, the key for persisted warm-start
-/// bases: components of equal shape produce LPs of equal dimensions, the
-/// precondition for a basis import to be accepted.
-fn component_shape(sub: &SubProblem) -> (usize, usize, usize) {
-    (sub.left_tuples.len(), sub.right_tuples.len(), sub.matches.len())
 }
 
 /// A streaming FNV-1a 64-bit hasher: the key function of the solution
@@ -917,38 +869,5 @@ mod tests {
         assert!(report.complete);
         let scoped = s.set_milp_deadline(default_deadline);
         assert_eq!(scoped, Some(std::time::Duration::from_millis(250)));
-    }
-
-    #[test]
-    fn warm_start_dirty_reaches_the_same_objective() {
-        // With warm starts on, the incremental result must stay complete
-        // and score-equivalent (bit-identity is not promised in this mode).
-        let t1 = canon("Q1", &[("a", 2.0), ("b", 1.0), ("c", 1.0)]);
-        let t2 = canon("Q2", &[("a", 1.0), ("b", 1.0)]);
-        let matches = AttributeMatches::single_equivalent("k", "k");
-        let mut warm = ExplainSession::new(
-            t1.clone(),
-            t2.clone(),
-            matches.clone(),
-            SessionConfig { warm_start_dirty: true, ..Default::default() },
-        );
-        warm.explain();
-        let delta = RelationDelta::new().update(Side::Left, 0, tuple("a", 3.0));
-        let report = warm.re_explain(&delta).unwrap();
-        let mut cold = ExplainSession::new(
-            warm.left().clone(),
-            warm.right().clone(),
-            matches,
-            SessionConfig::default(),
-        );
-        let cold_report = cold.explain();
-        assert!(report.complete);
-        assert!(
-            (report.log_probability - cold_report.log_probability).abs()
-                <= 1e-9 * (1.0 + cold_report.log_probability.abs()),
-            "warm {} vs cold {}",
-            report.log_probability,
-            cold_report.log_probability
-        );
     }
 }

@@ -314,7 +314,7 @@ pub struct CandidateGenStats {
 
 /// A streaming source of candidate pairs, yielded as bounded chunks.
 ///
-/// Enumerates exactly the pairs [`enumerate_pairs`] would produce — blocked
+/// Enumerates exactly the pairs `enumerate_pairs` would produce — blocked
 /// pairs in sorted `(left, right)` order with duplicates removed, or the
 /// row-major cross product when blocking is off — but one left row at a
 /// time, so the full pair list is never resident. Blocking state (the

@@ -16,7 +16,7 @@
 //!   end-to-end initial-mapping construction;
 //! * [`rswoosh`] — the R-Swoosh entity-resolution algorithm used as the
 //!   paper's record-linkage baseline;
-//! * [`matches`] — the [`matches::TupleMatch`] / [`matches::TupleMapping`]
+//! * [`matches`](mod@matches) — the [`matches::TupleMatch`] / [`matches::TupleMapping`]
 //!   types shared with the core framework.
 
 #![warn(missing_docs)]

@@ -81,21 +81,6 @@ pub struct MilpConfig {
     /// Optional warm-start objective value of a known feasible solution
     /// (in the model's direction); used only for pruning.
     pub incumbent_hint: Option<f64>,
-    /// Optional imported basis to warm-start the **root** relaxation from —
-    /// typically the [`SolveStats::final_basis`] persisted by a previous
-    /// solve of a structurally similar model (the incremental
-    /// re-explanation path). Accepted only when it is primal feasible for
-    /// this model ([`SparseLp::solve_from_basis`]); otherwise the root
-    /// solves cold, so a stale basis can never corrupt the search. Note
-    /// that a successful import changes the root vertex the search branches
-    /// from, so among *equally optimal* solutions a warm-started search may
-    /// legitimately pick a different one than a cold search.
-    pub initial_basis: Option<SparseBasis>,
-    /// Export the root relaxation's optimal basis into
-    /// [`SolveStats::final_basis`]. Off by default: the export clones an
-    /// `O(rows)` vector per solve, which callers that never re-import
-    /// (the stateless pipeline) should not pay for.
-    pub export_basis: bool,
     /// LP kernel for node relaxations.
     pub lp_kernel: LpKernel,
     /// Reuse the parent node's optimal basis when solving children (sparse
@@ -113,8 +98,6 @@ impl Default for MilpConfig {
             int_tolerance: 1e-6,
             gap_tolerance: 1e-7,
             incumbent_hint: None,
-            initial_basis: None,
-            export_basis: false,
             lp_kernel: LpKernel::default(),
             warm_start: true,
         }
@@ -137,19 +120,6 @@ impl MilpConfig {
     /// Supplies a warm-start bound from a known feasible solution.
     pub fn with_incumbent_hint(mut self, objective: f64) -> Self {
         self.incumbent_hint = Some(objective);
-        self
-    }
-
-    /// Supplies an imported basis ([`SolveStats::final_basis`] of a prior
-    /// solve) to warm-start the root relaxation from.
-    pub fn with_initial_basis(mut self, basis: Option<SparseBasis>) -> Self {
-        self.initial_basis = basis;
-        self
-    }
-
-    /// Enables exporting the root basis into [`SolveStats::final_basis`].
-    pub fn with_export_basis(mut self, export: bool) -> Self {
-        self.export_basis = export;
         self
     }
 
@@ -206,15 +176,6 @@ pub struct SolveStats {
     pub dense_fallbacks: usize,
     /// Whether a limit (node or time) interrupted the search.
     pub limit_hit: bool,
-    /// The optimal basis of the **root** relaxation (sparse kernel only,
-    /// populated only under [`MilpConfig::export_basis`]) — the exported
-    /// counterpart of [`MilpConfig::initial_basis`]. Persist it and feed it
-    /// back to a later solve of a structurally similar model to skip that
-    /// solve's phase 1.
-    pub final_basis: Option<SparseBasis>,
-    /// Whether [`MilpConfig::initial_basis`] was accepted and actually
-    /// warm-started the root relaxation.
-    pub basis_imported: bool,
 }
 
 /// Solves a MILP, returning the best solution found and search statistics.
@@ -237,36 +198,14 @@ pub fn solve_with_stats(model: &Model, config: &MilpConfig) -> (Solution, SolveS
     // to the hint is still discovered (and reported) by the search.
     let mut incumbent_bound = config.incumbent_hint.map(|o| o * sign - 1e-6);
 
-    // Imported-basis warm start: factorise the caller-supplied basis
-    // against this model and, when it is primal feasible, solve the root
-    // relaxation from it — phase 1 is skipped entirely. A rejected import
-    // (`solve_from_basis` returns `None`) costs one factorisation attempt
-    // and falls through to the ordinary cold/dive path.
     let mut root_warm: Option<NodeLp> = None;
-    if config.lp_kernel == LpKernel::Sparse && config.warm_start {
-        if let Some(imported) = &config.initial_basis {
-            let ctx = Rc::new(SparseLp::new(model, &root_bounds));
-            stats.lp_solves += 1;
-            if let Some((lp, Some(basis))) = ctx.solve_from_basis(model, &root_bounds, imported) {
-                if lp.status == LpStatus::Optimal {
-                    stats.warm_lp_solves += 1;
-                    stats.basis_imported = true;
-                    root_warm = Some(NodeLp { ctx, basis: Rc::new(basis) });
-                }
-            }
-        }
-    }
-
     // Root diving heuristic (sparse kernel): greedily round the relaxation
     // to a feasible integral solution through warm-started re-solves. The
     // resulting incumbent both unlocks bound pruning from the first node
     // and guarantees a usable solution when the node budget is hit. The
     // dive's root solve doubles as the root node's warm state, so the main
-    // loop does not re-solve the same LP cold. (Skipped when an imported
-    // basis already provides the root warm state: the dive's purpose is to
-    // amortise the cold root solve, which the import just avoided.)
-    if root_warm.is_none()
-        && config.lp_kernel == LpKernel::Sparse
+    // loop does not re-solve the same LP cold.
+    if config.lp_kernel == LpKernel::Sparse
         && config.warm_start
         && !int_vars.is_empty()
         && model.num_vars() + model.num_constraints() >= DIVE_MIN_SIZE
@@ -307,11 +246,6 @@ pub fn solve_with_stats(model: &Model, config: &MilpConfig) -> (Solution, SolveS
         stats.lp_solves += 1;
 
         let (lp, node_lp) = solve_node(model, config, &bounds, warm.as_ref(), &mut stats);
-        if config.export_basis && stats.nodes == 1 {
-            // Export the root relaxation's optimal basis: the reusable
-            // warm-start object for a future solve of a similar model.
-            stats.final_basis = node_lp.as_ref().map(|w| (*w.basis).clone());
-        }
         match lp.status {
             LpStatus::Infeasible => continue,
             LpStatus::Unbounded => {
@@ -721,86 +655,6 @@ mod tests {
         let sol = solve(&m, &cfg);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 3.0).abs() < 1e-6);
-    }
-
-    /// A knapsack over `n` binaries with the given value multiplier.
-    fn knapsack(n: usize, value_scale: f64) -> Model {
-        let mut m = Model::new();
-        let mut cap = LinExpr::zero();
-        let mut obj = LinExpr::zero();
-        for i in 0..n {
-            let v = m.add_binary(format!("x{i}"));
-            cap.add_term(v, 1.0 + (i % 4) as f64);
-            obj.add_term(v, value_scale * (1.0 + (i % 5) as f64 * 0.31));
-        }
-        m.add_le("cap", cap, (n as f64) * 0.9);
-        m.maximize(obj);
-        m
-    }
-
-    #[test]
-    fn solve_exports_the_root_basis() {
-        let m = knapsack(10, 1.0);
-        let (sol, stats) = solve_with_stats(&m, &MilpConfig::default().with_export_basis(true));
-        assert_eq!(sol.status, SolveStatus::Optimal);
-        assert!(stats.final_basis.is_some(), "sparse solve must export a root basis");
-        assert!(!stats.basis_imported);
-        // Without the opt-in, nothing is exported (the cold pipeline must
-        // not pay the per-solve clone).
-        let (_, default_stats) = solve_with_stats(&m, &MilpConfig::default());
-        assert!(default_stats.final_basis.is_none());
-        // The dense kernel has no basis to export either way.
-        let (_, dense) = solve_with_stats(
-            &m,
-            &MilpConfig::default().with_export_basis(true).with_lp_kernel(LpKernel::Dense),
-        );
-        assert!(dense.final_basis.is_none());
-    }
-
-    #[test]
-    fn imported_basis_warm_starts_a_similar_model() {
-        // Export from one solve, re-import into a model with the same
-        // structure but perturbed objective coefficients — the incremental
-        // re-explanation pattern. The warm solve must reach the same
-        // optimum the cold solve proves.
-        let first = knapsack(12, 1.0);
-        let (_, stats) = solve_with_stats(&first, &MilpConfig::default().with_export_basis(true));
-        let basis = stats.final_basis.clone().expect("exported basis");
-
-        let perturbed = knapsack(12, 1.07);
-        let warm_cfg = MilpConfig::default().with_initial_basis(Some(basis));
-        let (warm_sol, warm_stats) = solve_with_stats(&perturbed, &warm_cfg);
-        let (cold_sol, _) = solve_with_stats(&perturbed, &MilpConfig::default());
-        assert_eq!(warm_sol.status, SolveStatus::Optimal);
-        assert!(
-            (warm_sol.objective - cold_sol.objective).abs() < 1e-6,
-            "warm {} vs cold {}",
-            warm_sol.objective,
-            cold_sol.objective
-        );
-        assert!(
-            warm_stats.basis_imported,
-            "structurally identical primal-feasible basis must be accepted"
-        );
-        assert!(perturbed.violations(&warm_sol.values, 1e-6).is_empty());
-    }
-
-    #[test]
-    fn incompatible_imported_basis_falls_back_to_cold() {
-        // A basis exported from a smaller model cannot fit: the import is
-        // rejected and the search must still prove the cold optimum.
-        let small = knapsack(4, 1.0);
-        let (_, small_stats) =
-            solve_with_stats(&small, &MilpConfig::default().with_export_basis(true));
-        let alien = small_stats.final_basis.clone().expect("exported basis");
-
-        let big = knapsack(12, 1.0);
-        let cfg = MilpConfig::default().with_initial_basis(Some(alien));
-        let (sol, stats) = solve_with_stats(&big, &cfg);
-        let (cold, _) = solve_with_stats(&big, &MilpConfig::default());
-        assert!(!stats.basis_imported);
-        assert_eq!(sol.status, SolveStatus::Optimal);
-        assert!((sol.objective - cold.objective).abs() < 1e-6);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * the basis inverse as an **LU factorisation** (computed by sparse
 //!   Gaussian elimination with partial pivoting) composed with an
 //!   **eta file** of product-form updates — one eta per pivot — that is
-//!   folded back into a fresh LU every [`REFACTOR_EVERY`] pivots,
+//!   folded back into a fresh LU every `REFACTOR_EVERY` pivots,
 //! * reduced costs priced on demand via BTRAN (`B⁻ᵀ c_B`) with **Dantzig
 //!   selection over partial-pricing segments** and a Bland's-rule fallback
 //!   for degenerate stalls.
@@ -61,12 +61,6 @@ impl SparseBasis {
     /// True when the basis is empty (a zero-row LP).
     pub fn is_empty(&self) -> bool {
         self.basis.is_empty()
-    }
-
-    /// Resident bytes of this basis (column indices plus the struct
-    /// itself) — consumed by session-level memory accounting.
-    pub fn memory_footprint(&self) -> usize {
-        std::mem::size_of::<Self>() + self.basis.capacity() * std::mem::size_of::<usize>()
     }
 }
 
@@ -340,49 +334,6 @@ impl SparseLp {
             // without a cold re-solve.
             DualOutcome::Infeasible => return Some((infeasible(), None)),
             DualOutcome::Numerical => return None,
-        }
-        self.finish(model, bounds, sim)
-    }
-
-    /// Re-solves the LP starting from an **imported** basis — one exported
-    /// by a previous solve of a *different* (but structurally compatible)
-    /// model, e.g. the persisted final basis the incremental re-explanation
-    /// subsystem hands back for a dirty component. Unlike
-    /// [`solve_warm`](SparseLp::solve_warm), the basis cannot be assumed
-    /// dual feasible here (objective and constraint coefficients may have
-    /// changed, not just bounds), so the import is accepted only when the
-    /// factorised basis is *primal* feasible for the new problem; phase 2
-    /// then runs ordinary primal iterations from it, skipping phase 1.
-    /// Returns `None` whenever the basis cannot be trusted (dimension
-    /// mismatch, singular factorisation, primal infeasibility, non-zero
-    /// basic artificial) — the caller falls back to a cold solve, so a
-    /// stale import can cost time but never correctness.
-    pub fn solve_from_basis(
-        &self,
-        model: &Model,
-        bounds: &[(f64, f64)],
-        start: &SparseBasis,
-    ) -> Option<(LpResult, Option<SparseBasis>)> {
-        if !self.compatible(bounds)
-            || start.basis.len() != self.m
-            || start.basis.iter().any(|&j| j >= self.ncols)
-        {
-            return None;
-        }
-        for &(lb, ub) in bounds {
-            if lb > ub + EPS {
-                return Some((infeasible(), None));
-            }
-        }
-        let sim = Sim::new(self, bounds, start.basis.clone())?;
-        // Phase-2 primal iterations assume a feasible starting basis; an
-        // imported basis that is not primal feasible here is rejected
-        // rather than repaired (the cold path's phase 1 does that better).
-        if sim.x.iter().any(|&x| x < -FEAS_EPS) {
-            return None;
-        }
-        if (0..self.m).any(|i| sim.basis[i] >= self.art_start && sim.x[i].abs() > FEAS_EPS) {
-            return None;
         }
         self.finish(model, bounds, sim)
     }

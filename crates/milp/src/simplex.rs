@@ -2,7 +2,7 @@
 //! baseline kernel.
 //!
 //! The solver works on a bounded-variable LP derived from a
-//! [`Model`](crate::model::Model): every variable has a finite lower bound
+//! [`Model`]: every variable has a finite lower bound
 //! (shifted to zero internally) and an optional finite upper bound (added as
 //! a row). Phase 1 drives artificial variables out of the basis; phase 2
 //! optimises the user objective. Pivoting uses Dantzig's rule with a Bland's

@@ -2,23 +2,23 @@
 //!
 //! Two halves, both allocation-free on the hot path:
 //!
-//! * [`metrics`] — a process-wide [`Registry`](metrics::Registry) of
-//!   atomic [`Counter`](metrics::Counter)s, [`Gauge`](metrics::Gauge)s,
-//!   and **log-linear bucketed** [`Histogram`](metrics::Histogram)s
+//! * [`metrics`] — a process-wide [`Registry`] of
+//!   atomic [`Counter`]s, [`Gauge`]s,
+//!   and **log-linear bucketed** [`Histogram`]s
 //!   (fixed-size `AtomicU64` bucket arrays; recording is one index
 //!   computation plus three relaxed atomic adds — no locks, no
 //!   allocation). The registry renders itself as Prometheus text
 //!   exposition format (`# HELP`/`# TYPE`, cumulative `le` buckets,
-//!   `_sum`/`_count`) via [`Exposition`](metrics::Exposition), which also
+//!   `_sum`/`_count`) via [`Exposition`], which also
 //!   lets a scrape handler append point-in-time sampled values (queue
 //!   depths, uptime) without pre-registering them.
 //!
 //! * [`trace`] — per-request structured traces: a seeded
-//!   [`TraceIdGen`](trace::TraceIdGen) (xoshiro256++, the same in-tree
-//!   PRNG the workload generators use), a [`Trace`](trace::Trace) that
+//!   [`TraceIdGen`] (xoshiro256++, the same in-tree
+//!   PRNG the workload generators use), a [`Trace`] that
 //!   accumulates named spans with parent links and monotonic start/stop
 //!   offsets, and a fixed-capacity **lock-striped**
-//!   [`TraceRing`](trace::TraceRing) retaining finished traces for
+//!   [`TraceRing`] retaining finished traces for
 //!   `/debug/trace/<id>` and `/debug/slow` lookups.
 //!
 //! The crate deliberately knows nothing about HTTP, sessions, or the

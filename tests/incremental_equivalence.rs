@@ -96,6 +96,25 @@ fn random_delta(
     delta
 }
 
+/// Appends a dense block to a relation: five tuples that share one key,
+/// so each of them matches each block tuple of the other side. The block's
+/// component has 25 matches, more than the exact enumerator takes, so the
+/// MILP solves it (and, under [`config`]'s 400-node budget, stops at the
+/// budget).
+fn with_dense_block(mut rel: CanonicalRelation, first_impact: f64) -> CanonicalRelation {
+    for i in 0..5 {
+        let id = rel.tuples.len();
+        rel.tuples.push(CanonicalTuple {
+            id,
+            key: vec![Value::str("dense block")],
+            impact: first_impact + i as f64,
+            members: vec![id],
+            representative: Row::new(vec![Value::str("dense block")]),
+        });
+    }
+    rel
+}
+
 fn config(batch: usize) -> SessionConfig {
     // A tight deterministic node budget keeps debug-mode MILP searches
     // cheap. Budget-hit solves are still byte-reproducible (the budget is
@@ -112,43 +131,58 @@ fn matches() -> AttributeMatches {
 /// The cold reference: a fresh session over the given relations (its first
 /// `explain` has nothing memoised, so it is exactly the from-scratch
 /// pipeline).
+fn cold_report(
+    left: &CanonicalRelation,
+    right: &CanonicalRelation,
+    cfg: &SessionConfig,
+) -> ExplanationReport {
+    let mut fresh = ExplainSession::new(left.clone(), right.clone(), matches(), cfg.clone());
+    fresh.explain()
+}
+
 fn cold_fingerprint(
     left: &CanonicalRelation,
     right: &CanonicalRelation,
     cfg: &SessionConfig,
 ) -> Vec<u8> {
-    let mut fresh = ExplainSession::new(left.clone(), right.clone(), matches(), cfg.clone());
-    report_fingerprint(&fresh.explain())
+    report_fingerprint(&cold_report(left, right, cfg))
 }
 
 /// All monotone counters of a `DeltaStats`, in a fixed order.
-fn counters(s: &explain3d::core::pipeline::DeltaStats) -> [usize; 6] {
+fn counters(s: &explain3d::core::pipeline::DeltaStats) -> [usize; 5] {
     [
         s.candidates_reused,
         s.component_cache_hits,
         s.component_cache_misses,
         s.parts_reused,
         s.parts_dirty,
-        s.warm_basis_imports,
     ]
 }
 
 /// One randomized seed: a session, a few random deltas, each checked
-/// byte-identical against a cold run, with monotone `DeltaStats`.
-fn check_random_sequence(seed: u64, max_tuples: usize, steps: usize) {
+/// byte-identical against a cold run, with monotone `DeltaStats`. With
+/// `dense_block`, both relations also hold a [`with_dense_block`] block
+/// (impacts 1..5 against 2..6), and every cold report must have explored
+/// MILP nodes, so the check covers MILP-solved components and cache hits
+/// of their outcomes, not only enumerated ones.
+fn check_random_sequence(seed: u64, max_tuples: usize, steps: usize, dense_block: bool) {
     {
         let mut rng = StdRng::seed_from_u64(0xD3A1 + seed);
         let n_left = rng.gen_range(max_tuples / 2..=max_tuples);
         let n_right = rng.gen_range(max_tuples / 2..=max_tuples);
         let cfg = config(6);
-        let mut session = ExplainSession::new(
-            relation(&mut rng, "Q1", n_left),
-            relation(&mut rng, "Q2", n_right),
-            matches(),
-            cfg.clone(),
-        );
+        let mut left = relation(&mut rng, "Q1", n_left);
+        let mut right = relation(&mut rng, "Q2", n_right);
+        if dense_block {
+            left = with_dense_block(left, 1.0);
+            right = with_dense_block(right, 2.0);
+        }
+        let mut session = ExplainSession::new(left, right, matches(), cfg.clone());
         let first = session.explain();
         assert!(first.complete, "seed {seed}: cold explain incomplete");
+        if dense_block {
+            assert!(first.stats.milp_nodes > 0, "seed {seed}: the dense block missed the MILP");
+        }
         let mut previous = counters(&session.delta_stats());
 
         for step in 0..steps {
@@ -157,9 +191,16 @@ fn check_random_sequence(seed: u64, max_tuples: usize, steps: usize) {
                 .re_explain(&delta)
                 .unwrap_or_else(|e| panic!("seed {seed} step {step}: bad delta: {e}"));
             let incremental = report_fingerprint(&report);
-            let cold = cold_fingerprint(session.left(), session.right(), &cfg);
+            let cold = cold_report(session.left(), session.right(), &cfg);
+            if dense_block {
+                assert!(
+                    cold.stats.milp_nodes > 0,
+                    "seed {seed} step {step}: no component reached the MILP"
+                );
+            }
             assert_eq!(
-                incremental, cold,
+                incremental,
+                report_fingerprint(&cold),
                 "seed {seed} step {step}: re_explain diverged from the cold pipeline"
             );
             // DeltaStats counters are cumulative and monotone.
@@ -178,7 +219,7 @@ fn random_delta_sequences_are_byte_identical_to_cold_runs() {
     // `#[ignore]`d stress variant below covers the larger sweep in the CI
     // `--include-ignored` release lane.
     for seed in 0..3u64 {
-        check_random_sequence(seed, 10, 3);
+        check_random_sequence(seed, 10, 3, false);
     }
 }
 
@@ -186,7 +227,25 @@ fn random_delta_sequences_are_byte_identical_to_cold_runs() {
 #[ignore = "large randomized sweep: run via the CI stress lane (--include-ignored, release)"]
 fn random_delta_sequences_large_sweep() {
     for seed in 0..6u64 {
-        check_random_sequence(100 + seed, 16, 4);
+        check_random_sequence(100 + seed, 16, 4, false);
+    }
+}
+
+#[test]
+fn random_delta_sequences_through_the_milp_are_byte_identical() {
+    // The random relations alone only form components the exact
+    // enumerator solves; the dense block keeps a budget-hit MILP solve
+    // (and cache hits of its outcome) in every checked state.
+    for seed in 0..2u64 {
+        check_random_sequence(seed, 10, 3, true);
+    }
+}
+
+#[test]
+#[ignore = "large randomized sweep: run via the CI stress lane (--include-ignored, release)"]
+fn random_delta_sequences_through_the_milp_large_sweep() {
+    for seed in 0..6u64 {
+        check_random_sequence(100 + seed, 16, 4, true);
     }
 }
 
