@@ -1,6 +1,6 @@
 //! R5 `lock-order`: rank discipline for the session registry's lock family.
 //!
-//! `crates/service/src/registry.rs` nests four kinds of locks (plus the
+//! `crates/service/src/registry.rs` nests five kinds of locks (plus the
 //! recovery bookkeeping table). The *request path* touches them in lookup
 //! order — index stripe, slot pending, slot state, recovery gate — but
 //! what deadlock-freedom actually needs is a consistent **holds** order:
@@ -15,13 +15,16 @@
 //! | 2    | slot-state      | `.state.lock(`, `lock_state(`                  |
 //! | 3    | index-stripe    | `.slots.read/.write(`, `shard_read/write(`     |
 //! | 4    | slot-pending    | `.pending.lock(`                               |
+//! | 5    | slot-report     | `.report.lock(`                                |
 //!
 //! The real nestings this admits: the recovery gate is held across a whole
 //! recovery (which re-reads and writes the stripe: 1 → 3); `explain`
 //! holds a slot's state while re-validating registration against the
 //! stripe (2 → 3); eviction holds the stripe while draining a victim's
 //! pending queue (3 → 4); a drain holds the state while collecting the
-//! pending batch (2 → 4). Anything else — most importantly *blocking* on
+//! pending batch (2 → 4); a run publishes its report into the slot's
+//! report cell while holding the state (2 → 5). The report cell is a leaf:
+//! nothing is acquired while it is held. Anything else — most importantly *blocking* on
 //! a slot's state while holding the stripe or a pending queue, which is
 //! how a slow `re_explain` would freeze every unrelated session on the
 //! stripe — is a violation.
@@ -58,6 +61,7 @@ const FAMILY: &[(u8, &str)] = &[
     (2, "slot-state"),
     (3, "index-stripe"),
     (4, "slot-pending"),
+    (5, "slot-report"),
 ];
 
 fn family_name(rank: u8) -> &'static str {
@@ -71,8 +75,8 @@ const SINKS: &[&str] = &["observe", "inc", "inc_by"];
 
 /// Lowest-ranked guard under which metric recording is refused. Ranks 0–1
 /// (the recovery table and gate) are cold paths held across whole
-/// recoveries; 2+ (slot-state, index-stripe, slot-pending) are the hot
-/// request-path locks the telemetry discipline protects.
+/// recoveries; 2+ (slot-state, index-stripe, slot-pending, slot-report)
+/// are the hot request-path locks the telemetry discipline protects.
 const SINK_MIN_RANK: u8 = 2;
 
 /// What a body scan looks for.
@@ -254,6 +258,7 @@ fn classify(ctx: &FileContext<'_>, sig: &[usize], k: usize) -> Option<Acquisitio
         ("slots", "read") | ("slots", "write") => (3, true),
         ("slots", "try_read") | ("slots", "try_write") => (3, false),
         ("pending", "lock") => (4, true),
+        ("report", "lock") => (5, true),
         _ => return None,
     };
     Some(Acquisition { rank, blocking, after: k + 4 })

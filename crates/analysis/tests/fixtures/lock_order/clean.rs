@@ -7,6 +7,7 @@ use std::sync::{Mutex, RwLock};
 pub struct Slot {
     pub state: Mutex<u32>,
     pub pending: Mutex<Vec<u32>>,
+    pub report: Mutex<Option<u32>>,
 }
 
 pub struct Shard {
@@ -52,4 +53,11 @@ pub fn temporary(slot: &Slot) {
     slot.pending.lock().unwrap().push(1);
     let state = slot.state.lock().unwrap();
     let _ = state;
+}
+
+/// slot-state (2) then the slot-report leaf (5): publishing a report
+/// under the state lock ascends.
+pub fn publish(slot: &Slot) {
+    let state = slot.state.lock().unwrap();
+    *slot.report.lock().unwrap() = Some(*state);
 }

@@ -1,12 +1,13 @@
-//! Fixture: rank-order inversions in the registry lock family — a direct
-//! one and one hidden behind a same-file helper call (the one-level
-//! inlining case). Linted under a virtual registry.rs path.
+//! Fixture: rank-order inversions in the registry lock family — two
+//! direct ones and one hidden behind a same-file helper call (the
+//! one-level inlining case). Linted under a virtual registry.rs path.
 
 use std::sync::{Mutex, MutexGuard, RwLock};
 
 pub struct Slot {
     pub state: Mutex<u32>,
     pub pending: Mutex<Vec<u32>>,
+    pub report: Mutex<Option<u32>>,
 }
 
 pub struct Shard {
@@ -29,4 +30,12 @@ pub fn inlined_wrong_way(slot: &Slot) {
     let pending = slot.pending.lock().unwrap();
     let state = grab_state(slot);
     let _ = (pending, state);
+}
+
+/// Blocks on slot-state (rank 2) while holding the slot-report leaf
+/// (rank 5): a report read must never wait for a running session.
+pub fn read_then_lock_state(slot: &Slot) {
+    let report = slot.report.lock().unwrap();
+    let state = slot.state.lock().unwrap();
+    let _ = (report, state);
 }

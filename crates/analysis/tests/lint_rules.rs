@@ -74,8 +74,9 @@ fn panic_free_wire_only_guards_the_wire_edge() {
 
 #[test]
 fn lock_order_triple() {
-    // Two inversions: the direct one and the one behind a helper call.
-    assert_triple("lock-order", "lock_order", "crates/service/src/registry.rs", 2);
+    // Three inversions: two direct ones (one against the slot-report
+    // leaf) and the one behind a helper call.
+    assert_triple("lock-order", "lock_order", "crates/service/src/registry.rs", 3);
 }
 
 #[test]

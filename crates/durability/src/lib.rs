@@ -60,6 +60,11 @@ pub enum DurabilityError {
     /// On-disk bytes exist but do not validate (bad magic, checksum, or
     /// a logged delta that no longer applies).
     Corrupt(String),
+    /// A snapshot or WAL whose magic has this build's family prefix
+    /// (`E3DSNAP` / `E3DWAL0`) but another format version — written by a
+    /// newer (or retired) build. Not corruption: the files must be left
+    /// exactly as they are.
+    UnsupportedVersion(String),
 }
 
 impl fmt::Display for DurabilityError {
@@ -67,6 +72,9 @@ impl fmt::Display for DurabilityError {
         match self {
             DurabilityError::Io(e) => write!(f, "durability I/O error: {e}"),
             DurabilityError::Corrupt(what) => write!(f, "durable state corrupt: {what}"),
+            DurabilityError::UnsupportedVersion(what) => {
+                write!(f, "unsupported durable format: {what}")
+            }
         }
     }
 }
@@ -81,7 +89,28 @@ impl std::error::Error for DurabilityError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DurabilityError::Io(e) => Some(e),
-            DurabilityError::Corrupt(_) => None,
+            DurabilityError::Corrupt(_) | DurabilityError::UnsupportedVersion(_) => None,
         }
+    }
+}
+
+/// [`DurabilityError::UnsupportedVersion`] when `bytes` open with the
+/// first seven bytes of `magic` (the format family) but a different
+/// eighth (the version). Anything else passes; the caller's own magic
+/// check decides whether it is valid.
+pub(crate) fn reject_other_version(
+    bytes: &[u8],
+    magic: &[u8; 8],
+    kind: &str,
+) -> Result<(), DurabilityError> {
+    match bytes.get(..magic.len()) {
+        Some(found) if found[..7] == magic[..7] && found != magic => {
+            Err(DurabilityError::UnsupportedVersion(format!(
+                "{kind} format {} (this build reads {})",
+                String::from_utf8_lossy(found),
+                String::from_utf8_lossy(magic)
+            )))
+        }
+        _ => Ok(()),
     }
 }

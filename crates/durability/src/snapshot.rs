@@ -148,8 +148,10 @@ pub fn write_snapshot_with(
 }
 
 /// Loads a snapshot, validating magic, length, and checksum. `Ok(None)`
-/// when the file does not exist; [`DurabilityError::Corrupt`] (never a
-/// panic) when it exists but does not validate.
+/// when the file does not exist; [`DurabilityError::UnsupportedVersion`]
+/// when its magic names another `E3DSNAP` version;
+/// [`DurabilityError::Corrupt`] (never a panic) when it exists but does
+/// not validate.
 pub fn load_snapshot(path: &Path) -> Result<Option<SessionSnapshot>, DurabilityError> {
     load_snapshot_with(path, &None)
 }
@@ -167,6 +169,7 @@ pub fn load_snapshot_with(
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     }
+    crate::reject_other_version(&bytes, &SNAPSHOT_MAGIC, "snapshot")?;
     let header = SNAPSHOT_MAGIC.len() + 8;
     if bytes.len() < header || bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
         return Err(DurabilityError::Corrupt("snapshot header".into()));

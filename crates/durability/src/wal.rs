@@ -265,7 +265,11 @@ pub struct WalReadOutcome {
 /// Reads the valid prefix of a WAL file. Never panics and never errors on
 /// *content*: any undecodable suffix — short frame, checksum mismatch,
 /// invalid payload, even a missing or wrong magic header — just ends the
-/// valid prefix. Only I/O failures surface as errors.
+/// valid prefix. Two things surface as errors: I/O failures, and a magic
+/// naming another `E3DWAL0` version
+/// ([`DurabilityError::UnsupportedVersion`] — a valid prefix of length 0
+/// would make [`WalWriter::open_end`] recreate, and so destroy, a log a
+/// newer build wrote).
 pub fn read_wal(path: &Path) -> Result<WalReadOutcome, DurabilityError> {
     read_wal_with(path, &None)
 }
@@ -282,6 +286,7 @@ pub fn read_wal_with(path: &Path, shim: &ShimHandle) -> Result<WalReadOutcome, D
         }
         Err(e) => return Err(e.into()),
     }
+    crate::reject_other_version(&bytes, &WAL_MAGIC, "WAL")?;
     if bytes.len() < WAL_MAGIC.len() || bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
         return Ok(WalReadOutcome {
             records: Vec::new(),
@@ -426,6 +431,13 @@ mod tests {
                 let mut bytes = full.clone();
                 bytes[i] ^= bit;
                 std::fs::write(&flip_path, &bytes).unwrap();
+                if i == WAL_MAGIC.len() - 1 {
+                    // The version byte: another version is typed, never
+                    // read as an empty log.
+                    let err = read_wal(&flip_path).unwrap_err();
+                    assert!(matches!(err, DurabilityError::UnsupportedVersion(_)), "{err}");
+                    continue;
+                }
                 let out = read_wal(&flip_path).unwrap();
                 // A flip can only shorten the valid prefix; surviving
                 // records must equal the originals.

@@ -42,6 +42,11 @@ pub enum ServiceError {
     /// write could not be logged, so it is refused rather than acked
     /// without durability. Retry after the `Retry-After` hint.
     DurabilityUnavailable(String),
+    /// The session's durable state was written in a format version this
+    /// build cannot read (by a newer build, say). Recovery refuses the
+    /// session and leaves its files in place; the message names the
+    /// session and the version found.
+    UnsupportedVersion(String),
     /// An internal invariant failed (e.g. a poisoned session lock after a
     /// worker panic). The worker survives and reports it instead of dying.
     Internal(String),
@@ -62,6 +67,7 @@ impl ServiceError {
             ServiceError::ShapeConflict(_) => "shape_conflict",
             ServiceError::Timeout(_) => "timeout",
             ServiceError::DurabilityUnavailable(_) => "durability_unavailable",
+            ServiceError::UnsupportedVersion(_) => "unsupported_version",
             ServiceError::Internal(_) => "internal",
         }
     }
@@ -78,7 +84,9 @@ impl ServiceError {
             ServiceError::Timeout(_) => (408, "Request Timeout"),
             ServiceError::Overloaded => (429, "Too Many Requests"),
             ServiceError::DurabilityUnavailable(_) => (503, "Service Unavailable"),
-            ServiceError::Internal(_) => (500, "Internal Server Error"),
+            ServiceError::UnsupportedVersion(_) | ServiceError::Internal(_) => {
+                (500, "Internal Server Error")
+            }
         }
     }
 
@@ -116,6 +124,7 @@ impl fmt::Display for ServiceError {
                 "session {name:?} cannot log writes durably right now — \
                  retry with the same request_id"
             ),
+            ServiceError::UnsupportedVersion(what) => write!(f, "{what}"),
             ServiceError::Internal(what) => write!(f, "internal error: {what}"),
         }
     }
@@ -146,6 +155,8 @@ mod tests {
         assert_eq!(ServiceError::SessionExists("x".into()).http_status().0, 409);
         assert_eq!(ServiceError::BadRequest("y".into()).http_status().0, 400);
         assert_eq!(ServiceError::TooLarge("z".into()).http_status().0, 413);
+        let newer = ServiceError::UnsupportedVersion("v".into());
+        assert_eq!((newer.http_status().0, newer.code()), (500, "unsupported_version"));
         let body = ServiceError::Overloaded.to_json().to_string();
         assert!(body.contains("\"error\":\"overloaded\""));
     }

@@ -858,20 +858,19 @@ fn session_route(path: &str) -> Result<Option<(String, Option<&str>)>, ServiceEr
     Ok(Some((proto::percent_decode(raw_name)?, verb)))
 }
 
-/// Tags a report response with its session's durability state (absent
-/// when the registry runs memory-only).
-fn with_durability(json: Json, durability: Option<&'static str>) -> Json {
-    match durability {
-        Some(label) => json.set("durability", label),
-        None => json,
-    }
-}
-
-/// What a handler produced: the usual JSON document, or a verbatim text
-/// body (the Prometheus exposition).
+/// What a handler produced: the usual JSON document, or a verbatim body
+/// (the Prometheus exposition, or a report spliced from its stored
+/// encoding by [`wire::ServedReport::body`]).
 enum RouteReply {
     Json(Json),
     Text { content_type: &'static str, body: String },
+}
+
+impl RouteReply {
+    /// A pre-encoded JSON body, shipped verbatim.
+    fn json_text(body: String) -> RouteReply {
+        RouteReply::Text { content_type: "application/json", body }
+    }
 }
 
 /// Index into [`crate::telemetry::ROUTES`] for a request. Label
@@ -982,10 +981,7 @@ fn route(
             let deadline = wire::parse_explain(&req.body)?;
             let tctx = trace.map(|trace| TraceCtx { trace, parent });
             let report = registry.explain_traced(name, deadline, tctx)?;
-            Ok(RouteReply::Json(with_durability(
-                wire::emit_report(name, &report, 0),
-                registry.durability_status(name)?,
-            )))
+            Ok(RouteReply::json_text(report.body(0, registry.durability_status(name)?, false)?))
         }
         ("POST", Some("delta")) => {
             // The shapes and the apply are two registry calls; the token
@@ -1003,19 +999,16 @@ fn route(
                 parsed.request_id,
                 tctx,
             )?;
-            let mut json = wire::emit_report(name, &outcome.report, outcome.coalesced_with);
-            json = with_durability(json, outcome.durability);
-            if outcome.deduplicated {
-                json = json.set("deduplicated", true);
-            }
-            Ok(RouteReply::Json(json))
+            let body = outcome.report.body(
+                outcome.coalesced_with,
+                outcome.durability,
+                outcome.deduplicated,
+            )?;
+            Ok(RouteReply::json_text(body))
         }
         ("GET", Some("report")) => {
-            let report = registry.report(name)?;
-            Ok(RouteReply::Json(with_durability(
-                wire::emit_report(name, &report, 0),
-                registry.durability_status(name)?,
-            )))
+            let (report, durability) = registry.report_labelled(name)?;
+            Ok(RouteReply::json_text(report.body(0, durability, false)?))
         }
         _ => Err(ServiceError::NotFound(format!("{method} {path}"))),
     }

@@ -14,9 +14,12 @@
 //!   the same session merge into one `re_explain`), and LRU eviction under
 //!   a configurable [`ExplainSession::memory_footprint`] budget;
 //! * [`wire`] — the JSON wire protocol (relation uploads, delta ops,
-//!   report serialisation with the authoritative fingerprint), built on the
-//!   in-tree parser/emitter in [`json`] (no serde, depth-limited, panic-free
-//!   on arbitrary input);
+//!   report serialisation), built on the in-tree parser/emitter in [`json`]
+//!   (no serde, depth-limited, panic-free on arbitrary input). A report's
+//!   `fingerprint` is the 32-hex-digit FNV-1a-128 digest of its
+//!   [`explain3d_incremental::report_fingerprint`] bytes, and each report
+//!   is encoded once ([`wire::ServedReport`]), then served from the stored
+//!   text;
 //! * [`http::Server`] — a readiness-based HTTP/1.1 server: one event loop
 //!   ([`poller`]: raw `epoll` with a `poll(2)` fallback) owns every
 //!   nonblocking socket and dispatches complete *requests* (never whole

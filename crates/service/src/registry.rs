@@ -18,6 +18,12 @@
 //! serially per session in the order the registry admitted them —
 //! `tests/service_concurrency.rs` pins this over randomized interleavings.
 //!
+//! Reads do not take the session lock. Each run publishes its report, as
+//! an `Arc<`[`ServedReport`]`>`, into a per-slot leaf cell before any
+//! caller is acknowledged; [`SessionRegistry::report`] clones the `Arc`
+//! out of that cell, so a read never waits for a running `re_explain`
+//! and always sees the latest acknowledged report.
+//!
 //! ## Delta coalescing
 //!
 //! A delta request enqueues a ticket on its session's pending queue, then
@@ -99,7 +105,9 @@
 //! On-disk state that recovery finds corrupt (bad checksum, WAL gap, a
 //! logged delta that no longer applies) is **quarantined** — renamed
 //! aside under `quarantine/`, never deleted — and the name answers
-//! `SessionNotFound` so a client can re-create it.
+//! `SessionNotFound` so a client can re-create it. State written in a
+//! format version this build cannot read is not corrupt: recovery refuses
+//! it with a typed `UnsupportedVersion` error and leaves the files alone.
 //!
 //! ## Exactly-once client retries
 //!
@@ -113,8 +121,8 @@
 
 use crate::error::ServiceError;
 use crate::telemetry::{Telemetry, TraceCtx};
-use crate::wire::{CreateRequest, RelationShape};
-use explain3d_core::pipeline::{ExplanationReport, PipelineStats};
+use crate::wire::{CreateRequest, RelationShape, ServedReport};
+use explain3d_core::pipeline::PipelineStats;
 use explain3d_durability::{
     DurabilityConfig, DurabilityError, RecoveredSession, SessionSnapshot, SessionStore, WalRecord,
     WalWriter,
@@ -122,7 +130,7 @@ use explain3d_durability::{
 use explain3d_incremental::{ExplainSession, RelationDelta};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, TryLockError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, TryLockError};
 use std::time::{Duration, Instant};
 
 /// How long a coalescing waiter sleeps before re-checking its ticket and
@@ -397,7 +405,7 @@ pub struct SessionInfo {
 #[derive(Debug, Clone)]
 pub struct DeltaOutcome {
     /// The report after this delta (and any deltas coalesced with it).
-    pub report: Arc<ExplanationReport>,
+    pub report: Arc<ServedReport>,
     /// How many *other* tickets were folded into the run that produced
     /// this report (0 when the delta ran alone).
     pub coalesced_with: usize,
@@ -620,7 +628,6 @@ struct DuraCounters {
 /// Session state guarded by the per-slot mutex.
 struct SessionState {
     session: ExplainSession,
-    last_report: Option<Arc<ExplanationReport>>,
     applied_log: Vec<RelationDelta>,
     /// Deltas applied since creation. Equals the WAL seq while attached;
     /// keeps counting while degraded so the re-attach snapshot and the
@@ -842,6 +849,12 @@ struct Slot {
     shape_token: u64,
     state: Mutex<SessionState>,
     pending: Mutex<VecDeque<Ticket>>,
+    /// The session's latest report, published under the state lock at
+    /// every place a report is produced (explain, recovery, delta runs)
+    /// and before any ticket for it is acknowledged. A leaf lock, held
+    /// only to clone or swap the `Arc`, so report reads never wait on a
+    /// running `explain`/`re_explain`.
+    report: Mutex<Option<Arc<ServedReport>>>,
     last_used: AtomicU64,
     footprint: AtomicUsize,
     /// Mirror of the durable `seq` counter, readable without the state
@@ -859,6 +872,21 @@ struct Slot {
 }
 
 impl Slot {
+    /// Publishes `report` as the session's latest. A panic cannot leave
+    /// the cell half-written (it only swaps an `Arc`), so a poisoned cell
+    /// is still valid.
+    fn publish(&self, report: Arc<ServedReport>) {
+        let previous = self.report.lock().unwrap_or_else(PoisonError::into_inner).replace(report);
+        // The superseded report (and its encoding) is freed here, after
+        // the cell's guard is gone.
+        drop(previous);
+    }
+
+    /// The session's latest published report, if it has one.
+    fn published(&self) -> Option<Arc<ServedReport>> {
+        self.report.lock().unwrap_or_else(PoisonError::into_inner).clone()
+    }
+
     /// True when the slot looks evictable: nobody holds the session lock
     /// and nothing is queued against it. A **poisoned** slot (a panic
     /// escaped a run) counts as idle — it can only ever answer 500s, so it
@@ -1141,6 +1169,15 @@ impl SessionRegistry {
                 }
                 return Err(ServiceError::SessionNotFound(name.to_string()));
             }
+            Err(DurabilityError::UnsupportedVersion(what)) => {
+                // Written by another build: neither corrupt nor ours to
+                // rewrite. Refuse the session and leave the files as
+                // they are (the name stays taken: `create` still sees
+                // them).
+                return Err(ServiceError::UnsupportedVersion(format!(
+                    "session {name:?} is stored in an unsupported {what}"
+                )));
+            }
             Err(e @ DurabilityError::Io(_)) => {
                 return Err(ServiceError::Internal(format!(
                     "recovery of session {name:?} failed: {e}"
@@ -1169,14 +1206,14 @@ impl SessionRegistry {
             // Re-derive the last served report: byte-identity-to-cold makes
             // one cold explain under the recorded deadline fingerprint-equal
             // to the report the session last acknowledged.
-            Some(Arc::new(run_with_deadline(&mut session, last_deadline, ExplainSession::explain)))
+            let report = run_with_deadline(&mut session, last_deadline, ExplainSession::explain);
+            Some(Arc::new(ServedReport::new(name, report)))
         } else {
             None
         };
         let footprint = session.memory_footprint();
         let state = SessionState {
             session,
-            last_report,
             applied_log: Vec::new(),
             applied_seq: seq,
             retry_window: RetryWindow::from_pairs(retry_pairs),
@@ -1199,6 +1236,7 @@ impl SessionRegistry {
             shape_token: token,
             state: Mutex::new(state),
             pending: Mutex::new(VecDeque::new()),
+            report: Mutex::new(last_report),
             last_used: AtomicU64::new(0),
             footprint: AtomicUsize::new(footprint),
             deltas_logged: AtomicU64::new(seq),
@@ -1241,7 +1279,6 @@ impl SessionRegistry {
                 request.matches,
                 request.config,
             ),
-            last_report: None,
             applied_log: Vec::new(),
             applied_seq: 0,
             retry_window: RetryWindow::default(),
@@ -1322,6 +1359,7 @@ impl SessionRegistry {
             shape_token: token,
             state: Mutex::new(state),
             pending: Mutex::new(VecDeque::new()),
+            report: Mutex::new(None),
             last_used: AtomicU64::new(0),
             footprint: AtomicUsize::new(0),
             deltas_logged: AtomicU64::new(0),
@@ -1373,7 +1411,7 @@ impl SessionRegistry {
         &self,
         name: &str,
         deadline: Option<Duration>,
-    ) -> Result<Arc<ExplanationReport>, ServiceError> {
+    ) -> Result<Arc<ServedReport>, ServiceError> {
         self.explain_traced(name, deadline, None)
     }
 
@@ -1387,7 +1425,7 @@ impl SessionRegistry {
         name: &str,
         deadline: Option<Duration>,
         mut tctx: Option<TraceCtx<'_>>,
-    ) -> Result<Arc<ExplanationReport>, ServiceError> {
+    ) -> Result<Arc<ServedReport>, ServiceError> {
         loop {
             let acquire_start = tctx.as_ref().map(|c| c.trace.now_us());
             let slot = self.slot(name)?;
@@ -1413,13 +1451,13 @@ impl SessionRegistry {
             }
             let run_started = self.config.telemetry.as_ref().map(|_| Instant::now());
             let run_start_us = tctx.as_ref().map(|c| c.trace.now_us());
-            let report =
-                Arc::new(run_with_deadline(&mut state.session, deadline, ExplainSession::explain));
+            let report = run_with_deadline(&mut state.session, deadline, ExplainSession::explain);
             let run_us = run_started.map(|t| t.elapsed().as_micros() as u64);
             if let (Some(c), Some(start)) = (tctx.as_mut(), run_start_us) {
                 record_stage_spans(c, "explain_run", start, &report.stats);
             }
-            state.last_report = Some(Arc::clone(&report));
+            let report = Arc::new(ServedReport::new(name, report));
+            slot.publish(Arc::clone(&report));
             // Persist the explained flag (and the deadline this run used) so
             // recovery re-derives this report rather than an unexplained
             // session.
@@ -1648,6 +1686,7 @@ impl SessionRegistry {
                         continue;
                     }
                     let ctx = ServeCtx {
+                        slot: &slot,
                         record: self.config.record_deltas,
                         mode: self.config.durability_mode,
                         counters: &self.dura,
@@ -1682,15 +1721,27 @@ impl SessionRegistry {
     }
 
     /// The most recent report of a session.
-    pub fn report(&self, name: &str) -> Result<Arc<ExplanationReport>, ServiceError> {
+    pub fn report(&self, name: &str) -> Result<Arc<ServedReport>, ServiceError> {
+        self.report_labelled(name).map(|(report, _)| report)
+    }
+
+    /// [`SessionRegistry::report`] plus the session's durability label
+    /// (as [`SessionRegistry::durability_status`] reads it), from one slot
+    /// lookup. Never takes the session state lock, so a read does not
+    /// wait for a running `explain`/`re_explain`; a session poisoned by an
+    /// earlier panic still answers [`ServiceError::Internal`].
+    pub fn report_labelled(
+        &self,
+        name: &str,
+    ) -> Result<(Arc<ServedReport>, Option<&'static str>), ServiceError> {
         let slot = self.slot(name)?;
-        let report = lock_state(&slot)?
-            .last_report
-            .clone()
-            .ok_or_else(|| ServiceError::NoReport(name.to_string()))?;
+        if slot.state.is_poisoned() {
+            return Err(poisoned(&slot));
+        }
+        let report = slot.published().ok_or_else(|| ServiceError::NoReport(name.to_string()))?;
         self.touch(&slot);
         self.reports.fetch_add(1, Ordering::Relaxed);
-        Ok(report)
+        Ok((report, self.durability_label(&slot)))
     }
 
     /// The session's current durability label for response decoration:
@@ -1704,7 +1755,14 @@ impl SessionRegistry {
             return Ok(None);
         }
         let slot = self.slot(name)?;
-        Ok(Some(if slot.degraded.load(Ordering::Relaxed) { "degraded" } else { "durable" }))
+        Ok(self.durability_label(&slot))
+    }
+
+    /// `"durable"` or `"degraded"` from the slot's lock-free mirror; `None`
+    /// without durability.
+    fn durability_label(&self, slot: &Slot) -> Option<&'static str> {
+        self.store.as_ref()?;
+        Some(if slot.degraded.load(Ordering::Relaxed) { "degraded" } else { "durable" })
     }
 
     /// The `Retry-After` hint (seconds, at least 1) a refused write
@@ -1942,9 +2000,11 @@ impl SessionRegistry {
 }
 
 fn lock_state(slot: &Slot) -> Result<std::sync::MutexGuard<'_, SessionState>, ServiceError> {
-    slot.state.lock().map_err(|_| {
-        ServiceError::Internal(format!("session {:?} poisoned by an earlier panic", slot.name))
-    })
+    slot.state.lock().map_err(|_| poisoned(slot))
+}
+
+fn poisoned(slot: &Slot) -> ServiceError {
+    ServiceError::Internal(format!("session {:?} poisoned by an earlier panic", slot.name))
 }
 
 /// Runs `f` with a scoped MILP-deadline override (restored afterwards).
@@ -1994,8 +2054,10 @@ fn record_stage_spans(
 }
 
 /// Everything [`serve_batch`]/[`serve_run`] need besides the session
-/// state: the registry's recording flag, durability mode, and counters.
+/// state: the slot (whose report cell they publish to), the registry's
+/// recording flag, durability mode, and counters.
 struct ServeCtx<'a> {
+    slot: &'a Slot,
     record: bool,
     mode: DurabilityMode,
     counters: &'a DuraCounters,
@@ -2016,9 +2078,9 @@ fn fulfill_dedup(state: &SessionState, ticket: Ticket, ctx: &ServeCtx) {
         ticket.result.fulfill(Err(ServiceError::DurabilityUnavailable(name)));
         return;
     }
-    match &state.last_report {
+    match ctx.slot.published() {
         Some(report) => ticket.result.fulfill(Ok(DeltaOutcome {
-            report: Arc::clone(report),
+            report,
             coalesced_with: 0,
             durability: state.durability_label(),
             deduplicated: true,
@@ -2040,7 +2102,7 @@ fn finish_applied(
     ticket: Ticket,
     deadline: Option<Duration>,
     coalesced_with: usize,
-    report: &Arc<ExplanationReport>,
+    report: &Arc<ServedReport>,
     run_us: u64,
     ctx: &ServeCtx,
 ) {
@@ -2162,8 +2224,8 @@ fn serve_run(state: &mut SessionState, batch: Vec<Ticket>, ctx: &ServeCtx) {
         let run_us = run_started.map_or(0, |t| t.elapsed().as_micros() as u64);
         match merged_result {
             Ok(report) => {
-                let report = Arc::new(report);
-                state.last_report = Some(Arc::clone(&report));
+                let report = Arc::new(ServedReport::new(&ctx.slot.name, report));
+                ctx.slot.publish(Arc::clone(&report));
                 if ctx.record {
                     state.applied_log.extend(batch.iter().map(|t| t.delta.clone()));
                 }
@@ -2196,8 +2258,8 @@ fn serve_run(state: &mut SessionState, batch: Vec<Ticket>, ctx: &ServeCtx) {
         let run_us = run_started.map_or(0, |t| t.elapsed().as_micros() as u64);
         match outcome {
             Ok(report) => {
-                let report = Arc::new(report);
-                state.last_report = Some(Arc::clone(&report));
+                let report = Arc::new(ServedReport::new(&ctx.slot.name, report));
+                ctx.slot.publish(Arc::clone(&report));
                 if ctx.record {
                     state.applied_log.push(ticket.delta.clone());
                 }
@@ -2212,6 +2274,7 @@ fn serve_run(state: &mut SessionState, batch: Vec<Ticket>, ctx: &ServeCtx) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use explain3d_core::pipeline::ExplanationReport;
     use explain3d_core::prelude::{AttributeMatches, CanonicalRelation, CanonicalTuple, Side};
     use explain3d_incremental::{report_fingerprint, SessionConfig};
     use explain3d_relation::prelude::{Row, Schema, Value, ValueType};
@@ -2316,6 +2379,7 @@ mod tests {
                 .collect();
             let counters = DuraCounters::default();
             let ctx = ServeCtx {
+                slot: &slot,
                 record: false,
                 mode: DurabilityMode::BestEffort,
                 counters: &counters,
@@ -2371,6 +2435,7 @@ mod tests {
             ];
             let counters = DuraCounters::default();
             let ctx = ServeCtx {
+                slot: &slot,
                 record: false,
                 mode: DurabilityMode::BestEffort,
                 counters: &counters,
@@ -2853,6 +2918,69 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Writes an explained durable session with one logged delta, then
+    /// rewrites the version byte of `file`'s magic to `'9'`: the state a
+    /// newer build would leave behind. Returns the file's new bytes.
+    fn bump_format_version(dir: &std::path::Path, config: &ServiceConfig, file: &str) -> Vec<u8> {
+        {
+            let registry = SessionRegistry::new(config.clone());
+            registry.create("s", request(&[("a", 1.0)], &[("a", 1.0)])).unwrap();
+            registry.explain("s", None).unwrap();
+            registry
+                .delta("s", RelationDelta::new().insert(Side::Right, tuple("b", 1.0)), None)
+                .unwrap();
+        }
+        let path = dir.join(explain3d_durability::session_dirname("s")).join(file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[7] = b'9';
+        std::fs::write(&path, &bytes).unwrap();
+        bytes
+    }
+
+    /// Recovery of a session whose `file` carries another format version
+    /// refuses it with a typed error and leaves both files untouched.
+    fn assert_unsupported_version_is_refused_in_place(tag: &str, file: &str) {
+        let (dir, config) = durable_config(tag);
+        let bumped = bump_format_version(&dir, &config, file);
+        let sdir = dir.join(explain3d_durability::session_dirname("s"));
+        let other = if file == explain3d_durability::SNAPSHOT_FILE {
+            explain3d_durability::WAL_FILE
+        } else {
+            explain3d_durability::SNAPSHOT_FILE
+        };
+        let other_bytes = std::fs::read(sdir.join(other)).unwrap();
+        let registry = SessionRegistry::new(config);
+        for _ in 0..2 {
+            let err = registry.report("s").unwrap_err();
+            assert!(matches!(err, ServiceError::UnsupportedVersion(_)), "got {err:?}");
+            assert_eq!(err.code(), "unsupported_version");
+            assert!(err.to_string().contains("E3D"), "names the version found: {err}");
+        }
+        // Neither quarantined nor recreated: both files are byte-for-byte
+        // what the other build wrote, and the name is still taken.
+        assert_eq!(registry.stats().quarantined, 0);
+        assert_eq!(std::fs::read(sdir.join(file)).unwrap(), bumped);
+        assert_eq!(std::fs::read(sdir.join(other)).unwrap(), other_bytes);
+        assert!(matches!(
+            registry.create("s", request(&[("a", 1.0)], &[("a", 1.0)])),
+            Err(ServiceError::SessionExists(_))
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_of_another_format_version_is_refused_not_quarantined() {
+        assert_unsupported_version_is_refused_in_place(
+            "snapver",
+            explain3d_durability::SNAPSHOT_FILE,
+        );
+    }
+
+    #[test]
+    fn wal_of_another_format_version_is_refused_not_recreated() {
+        assert_unsupported_version_is_refused_in_place("walver", explain3d_durability::WAL_FILE);
+    }
+
     #[test]
     fn duplicate_request_ids_in_one_batch_apply_once() {
         let registry =
@@ -2880,6 +3008,7 @@ mod tests {
             ];
             let counters = DuraCounters::default();
             let ctx = ServeCtx {
+                slot: &slot,
                 record: true,
                 mode: DurabilityMode::BestEffort,
                 counters: &counters,

@@ -41,9 +41,13 @@
 //! same session is acknowledged from the dedup window (`"deduplicated":
 //! true` in the response) instead of being applied twice.
 //!
-//! Reports serialise explanations, evidence, statistics, and the
-//! authoritative [`report_fingerprint`] as a hex string — the byte-identity
-//! contract travels as that fingerprint, immune to float formatting.
+//! Reports serialise explanations, evidence, statistics, and a
+//! `fingerprint`: 32 lowercase hex digits of the FNV-1a-128 digest of the
+//! authoritative [`report_fingerprint`] bytes (see [`fingerprint_hex`]).
+//! The byte-identity contract travels as that digest, immune to float
+//! formatting. A served report is encoded once, by [`emit_report`], and
+//! every later response is spliced from the stored text
+//! ([`ServedReport`]).
 
 use crate::error::ServiceError;
 use crate::json::Json;
@@ -52,6 +56,8 @@ use explain3d_core::prelude::{AttributeMatches, CanonicalRelation, CanonicalTupl
 use explain3d_incremental::{report_fingerprint, RelationDelta, SessionConfig, TupleOp};
 use explain3d_linkage::StringMetric;
 use explain3d_relation::prelude::{Row, Schema, Value, ValueType};
+use std::ops::Deref;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// The schema-level identity of one uploaded relation — kept by the
@@ -389,15 +395,24 @@ fn side_name(side: Side) -> &'static str {
     }
 }
 
-/// Hex encoding of a report fingerprint.
+/// The wire fingerprint of a report: the FNV-1a-128 digest of its
+/// [`report_fingerprint`] bytes as 32 lowercase hex digits. Stable across
+/// builds and Rust releases (no `std` hasher involved). FNV is not
+/// collision-resistant against crafted input; it need not be, because the
+/// server produces every byte it digests. In-process comparisons use the
+/// full `report_fingerprint` bytes instead.
 pub fn fingerprint_hex(report: &ExplanationReport) -> String {
-    let bytes = report_fingerprint(report);
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        use std::fmt::Write as _;
-        let _ = write!(out, "{b:02x}");
+    format!("{:032x}", fnv1a_128(&report_fingerprint(report)))
+}
+
+/// FNV-1a with the 128-bit offset basis and prime.
+fn fnv1a_128(bytes: &[u8]) -> u128 {
+    let mut hash: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+    for &b in bytes {
+        hash ^= u128::from(b);
+        hash = hash.wrapping_mul(0x0000_0000_0100_0000_0000_0000_0000_013b);
     }
-    out
+    hash
 }
 
 fn emit_stats(stats: &PipelineStats) -> Json {
@@ -460,6 +475,78 @@ pub fn emit_report(session: &str, report: &ExplanationReport, coalesced: usize) 
             Json::obj().set("provenance", provenance).set("value", value).set("evidence", evidence),
         )
         .set("stats", emit_stats(&report.stats))
+}
+
+/// The key whose value varies between responses of one stored report.
+const COALESCED_KEY: &str = "\"coalesced_deltas\":";
+
+/// A report as the service publishes it: the report plus its wire
+/// encoding, which [`emit_report`] produces at most once, on the first
+/// response. Every response after that is spliced from the stored text by
+/// [`ServedReport::body`]. Dereferences to the report.
+#[derive(Debug)]
+pub struct ServedReport {
+    session: String,
+    report: ExplanationReport,
+    /// `emit_report(session, report, 0)` split around the
+    /// `coalesced_deltas` value: a head ending at `"coalesced_deltas":`
+    /// and a tail from `,"explanations"` through the `stats` object (the
+    /// closing `}` excluded). `None` only if the encoder ever stops
+    /// emitting that member.
+    encoded: OnceLock<Option<(String, String)>>,
+}
+
+impl ServedReport {
+    /// Wraps the report `session` produced. Nothing is encoded yet.
+    pub fn new(session: &str, report: ExplanationReport) -> ServedReport {
+        ServedReport { session: session.to_string(), report, encoded: OnceLock::new() }
+    }
+
+    /// The response body: byte-identical to
+    /// `emit_report(session, report, coalesced)` plus the optional
+    /// `durability` and `deduplicated: true` members, in that order. The
+    /// first call encodes the report; later calls copy the stored text.
+    pub fn body(
+        &self,
+        coalesced: usize,
+        durability: Option<&str>,
+        deduplicated: bool,
+    ) -> Result<String, ServiceError> {
+        let (head, tail) = self
+            .encoded
+            .get_or_init(|| {
+                let text = emit_report(&self.session, &self.report, 0).to_string();
+                let (head, rest) = text.split_once(&format!("{COALESCED_KEY}0,"))?;
+                let tail = rest.strip_suffix('}')?;
+                Some((format!("{head}{COALESCED_KEY}"), format!(",{tail}")))
+            })
+            .as_ref()
+            .ok_or_else(|| {
+                ServiceError::Internal("report encoding has no coalesced_deltas member".into())
+            })?;
+        let coalesced = Json::from(coalesced).to_string();
+        let mut body = String::with_capacity(head.len() + tail.len() + 64);
+        body.push_str(head);
+        body.push_str(&coalesced);
+        body.push_str(tail);
+        if let Some(label) = durability {
+            body.push_str(",\"durability\":");
+            body.push_str(&Json::from(label).to_string());
+        }
+        if deduplicated {
+            body.push_str(",\"deduplicated\":true");
+        }
+        body.push('}');
+        Ok(body)
+    }
+}
+
+impl Deref for ServedReport {
+    type Target = ExplanationReport;
+
+    fn deref(&self) -> &ExplanationReport {
+        &self.report
+    }
 }
 
 #[cfg(test)]
@@ -584,6 +671,70 @@ mod tests {
         assert!(text.contains("\"coalesced_deltas\":2"));
         let fp = json.get("fingerprint").and_then(Json::as_str).unwrap();
         assert_eq!(fp, fingerprint_hex(&report));
-        assert!(!fp.is_empty() && fp.bytes().all(|b| b.is_ascii_hexdigit()));
+        assert_eq!(fp.len(), 32);
+        assert!(fp.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')));
+    }
+
+    #[test]
+    fn fingerprint_is_the_fnv1a_128_digest_of_the_canonical_bytes() {
+        // Published FNV-1a-128 vectors: the empty input is the offset basis.
+        assert_eq!(fnv1a_128(b""), 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d);
+        assert_eq!(fnv1a_128(b"a"), 0xd228_cb69_6f1a_8caf_7891_2b70_4e4a_8964);
+        assert_eq!(fnv1a_128(b"foobar"), 0x343e_1662_793c_64bf_6f0d_3597_ba44_6f18);
+        let mut report = ExplanationReport {
+            explanations: Default::default(),
+            log_probability: -1.25,
+            complete: true,
+            stats: Default::default(),
+        };
+        let digest = fingerprint_hex(&report);
+        assert_eq!(digest, format!("{:032x}", fnv1a_128(&report_fingerprint(&report))));
+        report.log_probability = -1.5;
+        assert_ne!(fingerprint_hex(&report), digest, "a changed assertion changes the digest");
+    }
+
+    /// A report with every explanation kind, so the stored text has
+    /// non-empty provenance, value and evidence arrays.
+    fn populated_report(log_probability: f64) -> ExplanationReport {
+        let mut explanations = explain3d_core::prelude::ExplanationSet::new();
+        explanations.add_provenance(Side::Left, 3);
+        explanations.add_value(Side::Right, 1, 2.0, 1.5);
+        explanations.evidence.push(explain3d_linkage::TupleMatch::new(0, 1, 0.75));
+        ExplanationReport {
+            explanations,
+            log_probability,
+            complete: false,
+            stats: Default::default(),
+        }
+    }
+
+    #[test]
+    fn spliced_body_is_byte_identical_to_the_emitter() {
+        for name in ["s1", "quote \" back\\slash \n tab\t \u{1} é"] {
+            for log_probability in [-2.5, f64::NEG_INFINITY, f64::NAN] {
+                let report = populated_report(log_probability);
+                let served = ServedReport::new(name, report.clone());
+                // explain / report (coalesced 0), delta (0 and > 0), and
+                // deduplicated delta; each under every durability label.
+                for (coalesced, deduplicated) in [(0, false), (3, false), (0, true)] {
+                    for durability in [None, Some("durable"), Some("degraded"), Some("reconciled")]
+                    {
+                        let mut expected = emit_report(name, &report, coalesced);
+                        if let Some(label) = durability {
+                            expected = expected.set("durability", label);
+                        }
+                        if deduplicated {
+                            expected = expected.set("deduplicated", true);
+                        }
+                        assert_eq!(
+                            served.body(coalesced, durability, deduplicated).unwrap(),
+                            expected.to_string(),
+                            "name {name:?}, log_probability {log_probability}, coalesced \
+                             {coalesced}, durability {durability:?}, dedup {deduplicated}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

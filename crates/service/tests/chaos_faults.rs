@@ -16,10 +16,12 @@
 use explain3d_durability::{
     DurabilityConfig, FaultInjector, FaultKind, FaultOp, FaultPlan, FaultRule, FsyncPolicy, Trigger,
 };
+use explain3d_incremental::report_fingerprint;
 use explain3d_service::client::{RetryClient, RetryPolicy};
 use explain3d_service::json::Json;
 use explain3d_service::registry::{DurabilityMode, ServiceConfig, SessionRegistry};
-use explain3d_service::{wire, ServiceError};
+use explain3d_service::wire::{self, ServedReport};
+use explain3d_service::ServiceError;
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -88,20 +90,20 @@ fn delta_body(i: usize) -> String {
     }
 }
 
-/// Serial oracle: fingerprints after create+explain and after each of the
+/// Serial oracle: the reports after create+explain and after each of the
 /// first `n` script deltas, computed on a never-faulted in-memory registry.
-fn oracle_fingerprints(n: usize) -> Vec<String> {
+/// In-process checks compare their full `report_fingerprint` bytes; checks
+/// against the serve binary compare its wire digest.
+fn oracle_reports(n: usize) -> Vec<Arc<ServedReport>> {
     let oracle = SessionRegistry::new(ServiceConfig::default());
     oracle.create("s", wire::parse_create(CREATE_BODY).unwrap()).unwrap();
-    let mut fps = vec![wire::fingerprint_hex(&oracle.explain("s", None).unwrap())];
+    let mut reports = vec![oracle.explain("s", None).unwrap()];
     for i in 0..n {
         let (left, right) = oracle.shapes("s").unwrap();
         let parsed = wire::parse_delta(&delta_body(i), &left, &right).unwrap();
-        fps.push(wire::fingerprint_hex(
-            &oracle.delta("s", parsed.delta, parsed.deadline).unwrap().report,
-        ));
+        reports.push(oracle.delta("s", parsed.delta, parsed.deadline).unwrap().report);
     }
-    fps
+    reports
 }
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -133,7 +135,7 @@ fn best_effort_keeps_serving_correct_fingerprints_through_chaos() {
     let seed = chaos_seed();
     let mut rng = Rng::new(seed, 1);
     const DELTAS: usize = 30;
-    let oracle = oracle_fingerprints(DELTAS);
+    let oracle = oracle_reports(DELTAS);
 
     let dir = tempdir("best-effort");
     // ~1-in-4 writes and ~1-in-6 fsyncs fail while armed: enough chaos
@@ -166,8 +168,8 @@ fn best_effort_keeps_serving_correct_fingerprints_through_chaos() {
 
     let registry = SessionRegistry::new(config.clone());
     registry.create("s", wire::parse_create(CREATE_BODY).unwrap()).unwrap();
-    let fp = wire::fingerprint_hex(&registry.explain("s", None).unwrap());
-    assert_eq!(fp, oracle[0], "seed {seed}: cold explain diverged");
+    let fp = report_fingerprint(&registry.explain("s", None).unwrap());
+    assert_eq!(fp, report_fingerprint(&oracle[0]), "seed {seed}: cold explain diverged");
 
     shim.arm();
     let mut degraded_acks = 0usize;
@@ -182,8 +184,8 @@ fn best_effort_keeps_serving_correct_fingerprints_through_chaos() {
         let outcome = apply_script_delta(&registry, i, None)
             .unwrap_or_else(|e| panic!("seed {seed}: best-effort refused delta {i}: {e}"));
         assert_eq!(
-            wire::fingerprint_hex(&outcome.report),
-            oracle[i + 1],
+            report_fingerprint(&outcome.report),
+            report_fingerprint(&oracle[i + 1]),
             "seed {seed}: wrong fingerprint served for delta {i}"
         );
         match outcome.durability {
@@ -206,11 +208,11 @@ fn best_effort_keeps_serving_correct_fingerprints_through_chaos() {
         "seed {seed}: still degraded after faults cleared: {:?}",
         healed.durability
     );
-    let final_fp = wire::fingerprint_hex(&healed.report);
+    let final_fp = report_fingerprint(&healed.report);
     drop(registry);
     let recovered = SessionRegistry::new(config);
     assert_eq!(
-        wire::fingerprint_hex(&recovered.report("s").unwrap()),
+        report_fingerprint(&recovered.report("s").unwrap()),
         final_fp,
         "seed {seed}: restart lost reconciled state"
     );
@@ -227,7 +229,7 @@ fn strict_mode_never_loses_an_acked_delta_under_chaos() {
     let seed = chaos_seed();
     let mut rng = Rng::new(seed, 2);
     const DELTAS: usize = 20;
-    let oracle = oracle_fingerprints(DELTAS);
+    let oracle = oracle_reports(DELTAS);
 
     let dir = tempdir("strict");
     let plan = FaultPlan {
@@ -286,8 +288,8 @@ fn strict_mode_never_loses_an_acked_delta_under_chaos() {
         };
         acked += 1;
         assert_eq!(
-            wire::fingerprint_hex(&outcome.report),
-            oracle[i + 1],
+            report_fingerprint(&outcome.report),
+            report_fingerprint(&oracle[i + 1]),
             "seed {seed}: acked fingerprint for delta {i} diverged (dedup={})",
             outcome.deduplicated,
         );
@@ -314,8 +316,8 @@ fn strict_mode_never_loses_an_acked_delta_under_chaos() {
     let lost = shim.power_cut();
     let recovered = SessionRegistry::new(config);
     assert_eq!(
-        wire::fingerprint_hex(&recovered.report("s").unwrap()),
-        oracle[DELTAS],
+        report_fingerprint(&recovered.report("s").unwrap()),
+        report_fingerprint(&oracle[DELTAS]),
         "seed {seed}: power cut lost an acked delta (truncated {lost:?})"
     );
     // The dedup window also survived: replaying the last id is a no-op.
@@ -334,7 +336,7 @@ fn duplicated_request_ids_apply_exactly_once() {
     let seed = chaos_seed();
     let mut rng = Rng::new(seed, 3);
     const DELTAS: usize = 25;
-    let oracle = oracle_fingerprints(DELTAS);
+    let oracle = oracle_reports(DELTAS);
 
     let registry =
         SessionRegistry::new(ServiceConfig { record_deltas: true, ..ServiceConfig::default() });
@@ -349,8 +351,8 @@ fn duplicated_request_ids_apply_exactly_once() {
             sends += 1;
             let outcome = apply_script_delta(&registry, i, Some(request_id.clone())).unwrap();
             assert_eq!(
-                wire::fingerprint_hex(&outcome.report),
-                oracle[i + 1],
+                report_fingerprint(&outcome.report),
+                report_fingerprint(&oracle[i + 1]),
                 "seed {seed}: delta {i} copy {copy} served a diverged fingerprint"
             );
             assert_eq!(
@@ -428,7 +430,7 @@ fn real_binary_strict_faults_kill_and_recovery() {
     let seed = chaos_seed();
     let mut rng = Rng::new(seed, 4);
     const DELTAS: usize = 12;
-    let oracle = oracle_fingerprints(DELTAS);
+    let oracle = oracle_reports(DELTAS);
 
     let dir = tempdir("binary");
     // A deterministic schedule of single-shot WAL write failures: each
@@ -447,7 +449,7 @@ fn real_binary_strict_faults_kill_and_recovery() {
     assert_eq!(response.status, 200, "seed {seed}: {}", response.body);
     let response = client.call("POST", "/sessions/s/explain", "").expect("explain");
     assert_eq!(response.status, 200, "seed {seed}: {}", response.body);
-    assert_eq!(fingerprint_of(&response.body), oracle[0], "seed {seed}");
+    assert_eq!(fingerprint_of(&response.body), wire::fingerprint_hex(&oracle[0]), "seed {seed}");
 
     for i in 0..DELTAS {
         // RetryClient stamps one request_id before the first attempt and
@@ -459,7 +461,7 @@ fn real_binary_strict_faults_kill_and_recovery() {
         assert_eq!(response.status, 200, "seed {seed}: delta {i}: {}", response.body);
         assert_eq!(
             fingerprint_of(&response.body),
-            oracle[i + 1],
+            wire::fingerprint_hex(&oracle[i + 1]),
             "seed {seed}: delta {i} fingerprint diverged: {}",
             response.body
         );
@@ -490,7 +492,7 @@ fn real_binary_strict_faults_kill_and_recovery() {
     assert_eq!(report.status, 200, "seed {seed}: {}", report.body);
     assert_eq!(
         fingerprint_of(&report.body),
-        oracle[DELTAS],
+        wire::fingerprint_hex(&oracle[DELTAS]),
         "seed {seed}: kill -9 lost an acked delta"
     );
 

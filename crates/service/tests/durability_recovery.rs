@@ -5,6 +5,7 @@
 //! idempotence, and recovery of a spilled (evicted) session.
 
 use explain3d_durability::DurabilityConfig;
+use explain3d_incremental::report_fingerprint;
 use explain3d_service::error::ServiceError;
 use explain3d_service::registry::{ServiceConfig, SessionRegistry};
 use explain3d_service::wire;
@@ -48,19 +49,19 @@ fn create(registry: &SessionRegistry, name: &str) {
     registry.create(name, wire::parse_create(CREATE_BODY).unwrap()).unwrap();
 }
 
-fn apply(registry: &SessionRegistry, name: &str, body: &str) -> String {
+fn apply(registry: &SessionRegistry, name: &str, body: &str) -> Vec<u8> {
     let (left, right) = registry.shapes(name).unwrap();
     let parsed = wire::parse_delta(body, &left, &right).unwrap();
     let outcome = registry.delta(name, parsed.delta, parsed.deadline).unwrap();
-    wire::fingerprint_hex(&outcome.report)
+    report_fingerprint(&outcome.report)
 }
 
 /// The oracle: the same script against a purely in-memory registry,
 /// returning the final fingerprint.
-fn oracle_fingerprint(deltas: &[&str]) -> String {
+fn oracle_fingerprint(deltas: &[&str]) -> Vec<u8> {
     let oracle = SessionRegistry::new(ServiceConfig::default());
     create(&oracle, "s");
-    let mut fp = wire::fingerprint_hex(&oracle.explain("s", None).unwrap());
+    let mut fp = report_fingerprint(&oracle.explain("s", None).unwrap());
     for body in deltas {
         fp = apply(&oracle, "s", body);
     }
@@ -79,7 +80,7 @@ fn empty_log_recovery_of_an_unexplained_session() {
     // The session is recoverable but has no report yet — exactly like the
     // never-crashed state.
     assert!(matches!(recovered.report("s"), Err(ServiceError::NoReport(_))));
-    let fp = wire::fingerprint_hex(&recovered.explain("s", None).unwrap());
+    let fp = report_fingerprint(&recovered.explain("s", None).unwrap());
     assert_eq!(fp, oracle_fingerprint(&[]));
     assert_eq!(recovered.stats().recoveries, 1);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -99,7 +100,7 @@ fn snapshot_only_recovery_when_every_delta_snapshots() {
         }
     }
     let recovered = SessionRegistry::new(durable(&dir, 1));
-    let fp = wire::fingerprint_hex(&recovered.report("s").unwrap());
+    let fp = report_fingerprint(&recovered.report("s").unwrap());
     assert_eq!(fp, oracle_fingerprint(DELTAS));
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -119,7 +120,7 @@ fn log_only_recovery_when_the_cadence_is_never_reached() {
         // Dropped without any flush: recovery works off the log alone.
     }
     let recovered = SessionRegistry::new(durable(&dir, u64::MAX));
-    let fp = wire::fingerprint_hex(&recovered.report("s").unwrap());
+    let fp = report_fingerprint(&recovered.report("s").unwrap());
     assert_eq!(fp, oracle_fingerprint(DELTAS));
     let info = recovered.list().into_iter().find(|s| s.name == "s").unwrap();
     assert_eq!(info.deltas_logged as usize, DELTAS.len());
@@ -142,7 +143,7 @@ fn double_recovery_is_idempotent() {
     let expected = oracle_fingerprint(DELTAS);
     for round in 0..3 {
         let recovered = SessionRegistry::new(durable(&dir, 3));
-        let fp = wire::fingerprint_hex(&recovered.report("s").unwrap());
+        let fp = report_fingerprint(&recovered.report("s").unwrap());
         assert_eq!(fp, expected, "recovery round {round} diverged");
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -175,7 +176,7 @@ fn spilled_session_recovers_and_keeps_serving() {
     }
     assert!(registry.list().iter().all(|s| s.name != "victim"), "victim must have been evicted");
     assert!(registry.stats().spills >= 1);
-    let mut fp = String::new();
+    let mut fp = Vec::new();
     for body in post {
         fp = apply(&registry, "victim", body);
     }
@@ -220,13 +221,13 @@ fn concurrent_recovery_is_serialized_and_loses_no_acked_delta() {
     });
     assert_eq!(registry.stats().recoveries, 1, "recovery must run exactly once");
     assert_eq!(registry.delta_log("s").unwrap().len(), THREADS);
-    let live = wire::fingerprint_hex(&registry.report("s").unwrap());
+    let live = report_fingerprint(&registry.report("s").unwrap());
     drop(registry);
     // Restart: the WAL must hold DELTAS plus every concurrent insert in
     // admitted order — a truncated acked record would diverge (or fail)
     // this replay.
     let recovered = SessionRegistry::new(durable(&dir, u64::MAX));
-    assert_eq!(wire::fingerprint_hex(&recovered.report("s").unwrap()), live);
+    assert_eq!(report_fingerprint(&recovered.report("s").unwrap()), live);
     let info = recovered.list().into_iter().find(|s| s.name == "s").unwrap();
     assert_eq!(info.deltas_logged as usize, DELTAS.len() + THREADS);
     assert!(info.explained);
@@ -275,14 +276,14 @@ fn delta_storm_under_eviction_pressure_keeps_the_wal_consistent() {
             });
         }
     });
-    let live: Vec<(&str, String)> =
-        NAMES.iter().map(|n| (*n, wire::fingerprint_hex(&registry.report(n).unwrap()))).collect();
+    let live: Vec<(&str, Vec<u8>)> =
+        NAMES.iter().map(|n| (*n, report_fingerprint(&registry.report(n).unwrap()))).collect();
     assert!(registry.stats().spills >= 1, "the budget must have forced at least one spill");
     drop(registry);
     let recovered = SessionRegistry::new(durable(&dir, 4));
     for (name, fp) in live {
         assert_eq!(
-            wire::fingerprint_hex(&recovered.report(name).unwrap()),
+            report_fingerprint(&recovered.report(name).unwrap()),
             fp,
             "session {name} diverged after restart"
         );
