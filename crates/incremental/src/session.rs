@@ -21,8 +21,8 @@
 //!    both blocking keys and similarities are pure functions of the two
 //!    rows' contents, never of impacts — and (b) pairs with at least one
 //!    dirty endpoint, enumerated by
-//!    [`explain3d_linkage::generator::candidate_pairs_streaming`] (the cold
-//!    path's own blocking and scoring) over the dirty rows. The merged,
+//!    [`explain3d_linkage::generator::candidate_pairs`] (the cold path's
+//!    own blocking and scoring) over the dirty rows. The merged,
 //!    `(left, right)`-sorted list equals the cold enumeration's output
 //!    element for element.
 //! 2. **Partition.** The job list is derived by the *same*
@@ -55,7 +55,7 @@ use explain3d_core::pipeline::{
 use explain3d_core::prelude::{
     AttributeMatches, CanonicalRelation, ExplanationSet, MappingOptions, Side, SubProblem,
 };
-use explain3d_linkage::generator::{candidate_pairs_streaming, Candidate, MappingConfig};
+use explain3d_linkage::generator::{candidate_pairs, Candidate, MappingConfig};
 use explain3d_linkage::{BucketCalibrator, TupleMapping, TupleMatch};
 use explain3d_relation::prelude::Row;
 use std::collections::HashMap;
@@ -288,14 +288,13 @@ impl ExplainSession {
     pub fn explain(&mut self) -> ExplanationReport {
         let start = Instant::now();
         let (left_rows, right_rows) = self.representative_rows();
-        self.candidates = candidate_pairs_streaming(
+        self.candidates = candidate_pairs(
             &self.left.schema,
             &left_rows,
             &self.right.schema,
             &right_rows,
             &self.mapping_config,
-        )
-        .0;
+        );
         let mapping = self.calibrated_mapping();
         let candidate_time = start.elapsed();
         let report = self.run(&mapping, start, candidate_time);
@@ -363,10 +362,10 @@ impl ExplainSession {
 
     /// Scores every pair with at least one dirty endpoint: dirty-left ×
     /// all-right plus clean-left × dirty-right, each run through
-    /// [`candidate_pairs_streaming`] — the same blocking enumeration and
-    /// the same parallel chunked scorer as the cold path, just over
-    /// restricted row subsets (preparation is per-row, so subset results
-    /// match the full-relation results bit for bit). Returns retained
+    /// [`candidate_pairs`] — the same blocking enumeration and the same
+    /// row-parallel scorer as the cold path, just over restricted row
+    /// subsets (preparation is per-row, so subset results match the
+    /// full-relation results bit for bit). Returns retained
     /// candidates re-indexed to the full relations and sorted by
     /// `(left, right)`.
     fn score_dirty_pairs(&self, lt: &SideTrace, rt: &SideTrace) -> Vec<Candidate> {
@@ -385,7 +384,7 @@ impl ExplainSession {
         if !dirty_left.is_empty() && !self.right.is_empty() {
             let sub_rows: Vec<Row> = dirty_left.iter().map(|&i| left_row(i)).collect();
             let right_rows: Vec<Row> = (0..self.right.len()).map(right_row).collect();
-            let (cands, _) = candidate_pairs_streaming(
+            let cands = candidate_pairs(
                 &self.left.schema,
                 &sub_rows,
                 &self.right.schema,
@@ -407,7 +406,7 @@ impl ExplainSession {
             if !clean_left.is_empty() {
                 let left_sub: Vec<Row> = clean_left.iter().map(|&i| left_row(i)).collect();
                 let right_sub: Vec<Row> = dirty_right.iter().map(|&j| right_row(j)).collect();
-                let (cands, _) = candidate_pairs_streaming(
+                let cands = candidate_pairs(
                     &self.left.schema,
                     &left_sub,
                     &self.right.schema,

@@ -7,30 +7,35 @@
 //! quadratic blow-up on large inputs), followed by similarity-to-probability
 //! calibration.
 //!
-//! ## Candidate scoring is zero-copy, parallel, and streaming
+//! ## Candidate generation is one pass over each side
 //!
-//! [`candidate_pairs`] tokenises every row **once** into interned `u32`
-//! token ids ([`TokenInterner`]), scores pairs as a linear merge over sorted
-//! id slices ([`jaccard_ids`]), and fans the scoring loop out across CPU
-//! cores. It produces exactly the candidates — same pairs, same order, same
-//! floating-point similarities — as the straightforward per-pair
-//! implementation, which is kept as [`candidate_pairs_naive`] for tests and
-//! the performance-trajectory benchmark.
+//! [`candidate_pairs`] tokenises every compared value of both sides once
+//! into interned `u32` token ids ([`TokenInterner`]); the same pass yields
+//! each value's blocking keys. The right side's keys become a dense
+//! inverted index: CSR offsets over the token ids plus posting lists of
+//! right rows. Left rows are scored in contiguous blocks on the
+//! work-stealing pool. Each row walks the postings of its keys, collecting
+//! its unique partners and counting, per attribute pair, the keys it shares
+//! with each of them; a Jaccard term between two strings is read off that
+//! count, every other term is computed from the prepared values. No pair
+//! list is ever held: a worker keeps one row's partners plus scratch linear
+//! in the right side.
 //!
-//! Pair enumeration is **streaming**: [`PairChunkStream`] yields blocked (or
-//! exhaustive) pairs in bounded chunks that feed the parallel scorer
-//! directly, so the full pair list — ~460k pairs on a 5000×5000 comparison,
-//! quadratic without blocking — is never materialised. Peak resident pairs
-//! are bounded by `worker threads × chunk size`
-//! ([`MappingConfig::chunk_pairs`]); [`candidate_pairs_streaming`] reports
-//! the observed numbers as [`CandidateGenStats`].
+//! The output — same pairs, same order, same floating-point similarities —
+//! is that of the straightforward per-pair implementation, kept as
+//! [`candidate_pairs_naive`] for tests and the performance-trajectory
+//! benchmark.
 
 use crate::calibrate::BucketCalibrator;
 use crate::matches::{TupleMapping, TupleMatch};
-use crate::similarity::{jaccard_ids, jaro, jaro_winkler, tuple_similarity, StringMetric};
+use crate::similarity::{
+    jaccard_counts, jaccard_ids, jaro, jaro_winkler, tuple_similarity, StringMetric,
+};
 use crate::tokenize::TokenInterner;
+use explain3d_parallel::split_ranges;
 use explain3d_relation::prelude::{Row, Schema, Value};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Configuration for initial-mapping generation.
 #[derive(Debug, Clone)]
@@ -46,16 +51,7 @@ pub struct MappingConfig {
     /// Use token blocking on the matching attributes: only pairs that share
     /// at least one token (or the exact numeric value) are compared.
     pub use_blocking: bool,
-    /// Number of pairs per streamed chunk fed to the parallel scorer. Peak
-    /// pair residency is bounded by `worker threads × chunk_pairs`; the
-    /// retained candidates are byte-identical for every chunk size.
-    pub chunk_pairs: usize,
 }
-
-/// Default [`MappingConfig::chunk_pairs`]: large enough to amortise the
-/// per-chunk dispatch, small enough that even one chunk per core stays far
-/// below the materialised-pair-list footprint it replaces.
-pub const DEFAULT_CHUNK_PAIRS: usize = 8192;
 
 impl Default for MappingConfig {
     fn default() -> Self {
@@ -64,7 +60,6 @@ impl Default for MappingConfig {
             metric: StringMetric::Jaccard,
             min_similarity: 0.05,
             use_blocking: true,
-            chunk_pairs: DEFAULT_CHUNK_PAIRS,
         }
     }
 }
@@ -90,12 +85,6 @@ impl MappingConfig {
     /// Sets the string metric.
     pub fn with_metric(mut self, metric: StringMetric) -> Self {
         self.metric = metric;
-        self
-    }
-
-    /// Sets the streaming chunk size (pairs per chunk; clamped to ≥ 1).
-    pub fn with_chunk_pairs(mut self, chunk_pairs: usize) -> Self {
-        self.chunk_pairs = chunk_pairs.max(1);
         self
     }
 }
@@ -143,7 +132,7 @@ impl PartialOrd for Candidate {
 
 /// A row value prepared for repeated comparison: its dispatch class plus
 /// whatever pre-computation that class needs (cached float, interned token
-/// ids of the textual form, raw string reference).
+/// ids of the textual form, raw string reference, blocking key).
 #[derive(Debug, Clone)]
 enum Prepared<'a> {
     /// SQL NULL (also used for out-of-schema columns, like the original
@@ -153,8 +142,9 @@ enum Prepared<'a> {
     Str { raw: &'a str, tokens: Vec<u32> },
     /// A boolean: the value, its numeric form, and textual-form token ids.
     Bool { value: bool, num: f64, tokens: Vec<u32> },
-    /// An Int/Float: the numeric form and textual-form token ids.
-    Num { num: f64, tokens: Vec<u32> },
+    /// An Int/Float: the numeric form, textual-form token ids, and the
+    /// interned id of the whole text (its one blocking key).
+    Num { num: f64, tokens: Vec<u32>, key: u32 },
 }
 
 impl Prepared<'_> {
@@ -174,6 +164,17 @@ impl Prepared<'_> {
             Prepared::Str { tokens, .. }
             | Prepared::Bool { tokens, .. }
             | Prepared::Num { tokens, .. } => tokens,
+        }
+    }
+
+    /// Blocking keys, exactly `blocking_key_ids`' on the original value:
+    /// the token ids of a string or boolean (a boolean's text is one token),
+    /// the whole text of a number, nothing for NULL.
+    fn keys(&self) -> &[u32] {
+        match self {
+            Prepared::Null => &[],
+            Prepared::Str { tokens, .. } | Prepared::Bool { tokens, .. } => tokens,
+            Prepared::Num { key, .. } => std::slice::from_ref(key),
         }
     }
 }
@@ -199,23 +200,35 @@ fn prepare_column<'a>(
                 num: if *b { 1.0 } else { 0.0 },
                 tokens: interner.token_ids(&Value::Bool(*b).to_string()),
             },
-            Some(v) => Prepared::Num {
-                num: v.as_f64().expect("Int/Float always has a numeric form"),
-                tokens: interner.token_ids(&v.to_string()),
-            },
+            Some(v) => {
+                let text = v.to_string();
+                Prepared::Num {
+                    num: v.as_f64().expect("Int/Float always has a numeric form"),
+                    tokens: interner.token_ids(&text),
+                    key: interner.intern(&text),
+                }
+            }
         })
         .collect()
 }
 
 /// Similarity of two prepared values — the zero-copy twin of
 /// [`crate::similarity::value_similarity`] (same dispatch, same results).
-fn prepared_similarity(a: &Prepared<'_>, b: &Prepared<'_>, metric: StringMetric) -> f64 {
+/// `shared` is the number of blocking keys the two values share; for two
+/// strings, whose keys are their token ids, that is the size of their
+/// token-set intersection, so their Jaccard is one division.
+fn prepared_similarity(
+    a: &Prepared<'_>,
+    b: &Prepared<'_>,
+    metric: StringMetric,
+    shared: u32,
+) -> f64 {
     match (a, b) {
         (Prepared::Null, Prepared::Null) => 1.0,
         (Prepared::Null, _) | (_, Prepared::Null) => 0.0,
         (Prepared::Str { raw: ra, tokens: ta }, Prepared::Str { raw: rb, tokens: tb }) => {
             match metric {
-                StringMetric::Jaccard => jaccard_ids(ta, tb),
+                StringMetric::Jaccard => jaccard_counts(ta.len(), tb.len(), shared as usize),
                 StringMetric::Jaro => jaro(ra, rb),
                 StringMetric::JaroWinkler => jaro_winkler(ra, rb),
             }
@@ -235,217 +248,188 @@ fn prepared_similarity(a: &Prepared<'_>, b: &Prepared<'_>, metric: StringMetric)
     }
 }
 
-/// Mean prepared-value similarity across the attribute pairs, accumulated in
-/// the same order (and therefore with the same floating-point result) as
-/// [`tuple_similarity`].
-fn prepared_tuple_similarity(
-    left_cols: &[Vec<Prepared<'_>>],
-    right_cols: &[Vec<Prepared<'_>>],
-    i: usize,
-    j: usize,
-    metric: StringMetric,
-) -> f64 {
-    let mut total = 0.0;
-    for (lcol, rcol) in left_cols.iter().zip(right_cols.iter()) {
-        total += prepared_similarity(&lcol[i], &rcol[j], metric);
+/// One side's compared columns, prepared in a single pass:
+/// `columns[p][row]` is the row's value in attribute pair `p`'s column on
+/// this side, tokenised once. The same values carry the row's blocking
+/// keys ([`Prepared::keys`]). Both sides of a run share one interner, so
+/// their token ids and keys are comparable.
+struct PreparedSide<'a> {
+    columns: Vec<Vec<Prepared<'a>>>,
+}
+
+impl<'a> PreparedSide<'a> {
+    fn new<'c>(
+        schema: &Schema,
+        rows: &'a [Row],
+        columns: impl Iterator<Item = &'c str>,
+        interner: &mut TokenInterner,
+    ) -> Self {
+        let columns =
+            columns.map(|column| prepare_column(schema, rows, column, interner)).collect();
+        PreparedSide { columns }
     }
-    total / left_cols.len() as f64
 }
 
-/// The zero-copy scoring kernel bundled for reuse: the prepared (tokenised,
-/// interned, numeric-cached) columns of both sides plus the metric.
-/// [`PreparedScorer::score`] reproduces **exactly** — same dispatch, same
-/// accumulation order, same floating-point result — the similarity the
-/// per-pair reference path computes, so every caller (streaming, cached,
-/// delta re-scoring) scores through one kernel.
-pub struct PreparedScorer<'a> {
-    left_cols: Vec<Vec<Prepared<'a>>>,
-    right_cols: Vec<Vec<Prepared<'a>>>,
+/// The right side's blocking keys as one inverted index per attribute pair,
+/// in CSR form over the dense token ids: the right rows holding key `k` in
+/// attribute pair `p`'s column are `rows[p][offsets[p][k]..offsets[p][k + 1]]`,
+/// in ascending order, each at most once.
+struct PostingIndex {
+    offsets: Vec<Vec<u32>>,
+    rows: Vec<Vec<u32>>,
+}
+
+impl PostingIndex {
+    /// Indexes every column of `side`; `tokens` bounds the key ids.
+    fn new(side: &PreparedSide<'_>, tokens: usize) -> Self {
+        let mut offsets = Vec::with_capacity(side.columns.len());
+        let mut rows = Vec::with_capacity(side.columns.len());
+        for column in &side.columns {
+            // Counting sort: key counts, prefix sums, then a stable scatter.
+            let mut offs = vec![0u32; tokens + 1];
+            for value in column {
+                for &key in value.keys() {
+                    offs[key as usize + 1] += 1;
+                }
+            }
+            for k in 0..tokens {
+                offs[k + 1] += offs[k];
+            }
+            let mut next = offs.clone();
+            let mut postings = vec![0u32; offs[tokens] as usize];
+            for (j, value) in column.iter().enumerate() {
+                let j = u32::try_from(j).expect("right side exceeds u32 rows");
+                for &key in value.keys() {
+                    let at = &mut next[key as usize];
+                    postings[*at as usize] = j;
+                    *at += 1;
+                }
+            }
+            offsets.push(offs);
+            rows.push(postings);
+        }
+        PostingIndex { offsets, rows }
+    }
+
+    /// The right rows holding `key` in attribute pair `attr`'s column.
+    fn postings(&self, attr: usize, key: u32) -> &[u32] {
+        let offs = &self.offsets[attr];
+        let k = key as usize;
+        &self.rows[attr][offs[k] as usize..offs[k + 1] as usize]
+    }
+}
+
+/// Everything one candidate-generation run reads: both prepared sides, the
+/// right side's posting index and the scoring settings.
+struct CandidateKernel<'a> {
+    left: PreparedSide<'a>,
+    right: PreparedSide<'a>,
+    index: PostingIndex,
+    right_len: usize,
     metric: StringMetric,
+    min_similarity: f64,
+    use_blocking: bool,
 }
 
-impl<'a> PreparedScorer<'a> {
-    /// Prepares both sides' compared columns once (tokenising through
-    /// `interner`).
-    pub fn new(
+impl<'a> CandidateKernel<'a> {
+    fn new(
         left_schema: &Schema,
         left_rows: &'a [Row],
         right_schema: &Schema,
         right_rows: &'a [Row],
         config: &MappingConfig,
-        interner: &mut TokenInterner,
     ) -> Self {
-        let left_cols = config
-            .attr_pairs
-            .iter()
-            .map(|(lcol, _)| prepare_column(left_schema, left_rows, lcol, interner))
-            .collect();
-        let right_cols = config
-            .attr_pairs
-            .iter()
-            .map(|(_, rcol)| prepare_column(right_schema, right_rows, rcol, interner))
-            .collect();
-        PreparedScorer { left_cols, right_cols, metric: config.metric }
+        let mut interner = TokenInterner::new();
+        let pairs = &config.attr_pairs;
+        let left =
+            PreparedSide::new(left_schema, left_rows, pairs.iter().map(|p| &*p.0), &mut interner);
+        let right =
+            PreparedSide::new(right_schema, right_rows, pairs.iter().map(|p| &*p.1), &mut interner);
+        let index = PostingIndex::new(&right, interner.len());
+        CandidateKernel {
+            left,
+            right,
+            index,
+            right_len: right_rows.len(),
+            metric: config.metric,
+            min_similarity: config.min_similarity,
+            use_blocking: config.use_blocking,
+        }
     }
 
-    /// Similarity of left row `i` vs right row `j`.
-    pub fn score(&self, i: usize, j: usize) -> f64 {
-        prepared_tuple_similarity(&self.left_cols, &self.right_cols, i, j, self.metric)
-    }
-}
-
-/// Statistics of one streaming candidate-generation run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CandidateGenStats {
-    /// Total pairs enumerated and scored.
-    pub pairs_scored: usize,
-    /// Number of chunks streamed to the scorer.
-    pub chunks: usize,
-    /// Configured chunk size (pairs per chunk).
-    pub chunk_pairs: usize,
-    /// Largest number of pairs resident at once, as observed by the
-    /// scheduler: the peak summed size of the chunks held by the worker
-    /// pool at one instant (each worker holds at most one chunk, so
-    /// ≤ worker threads × chunk size). This is the streaming design's peak
-    /// allocation, replacing the full pair-list materialisation of the
-    /// pre-streaming implementation.
-    pub peak_resident_pairs: usize,
-}
-
-/// A streaming source of candidate pairs, yielded as bounded chunks.
-///
-/// Enumerates exactly the pairs `enumerate_pairs` would produce — blocked
-/// pairs in sorted `(left, right)` order with duplicates removed, or the
-/// row-major cross product when blocking is off — but one left row at a
-/// time, so the full pair list is never resident. Blocking state (the
-/// inverted indexes over the right rows and the left rows' key ids) is
-/// built up front; its size is linear in the input rows, not in the pair
-/// count.
-pub struct PairChunkStream {
-    source: PairSource,
-    buffer: Vec<(usize, usize)>,
-    chunk_pairs: usize,
-}
-
-enum PairSource {
-    /// Row-major cross product (blocking disabled).
-    Exhaustive { left_len: usize, right_len: usize, next_row: usize },
-    /// Token blocking: per attribute pair, an inverted index over the right
-    /// rows plus each left row's blocking-key ids.
-    Blocked {
-        /// One inverted index (`key id → right rows`) per resolvable
-        /// attribute pair.
-        indexes: Vec<HashMap<u32, Vec<usize>>>,
-        /// `left_keys[attr][row]`: blocking-key ids of the left row.
-        left_keys: Vec<Vec<Vec<u32>>>,
-        left_len: usize,
-        next_row: usize,
-    },
-}
-
-impl PairChunkStream {
-    /// Builds a stream over the pairs the given configuration selects.
-    /// `interner` is only used during construction (key interning).
-    pub fn new(
-        left_schema: &Schema,
-        left_rows: &[Row],
-        right_schema: &Schema,
-        right_rows: &[Row],
-        config: &MappingConfig,
-        interner: &mut TokenInterner,
-    ) -> Self {
-        let source = if config.use_blocking {
-            let mut indexes = Vec::new();
-            let mut left_keys = Vec::new();
-            for (lcol, rcol) in &config.attr_pairs {
-                let (Ok(li), Ok(ri)) = (left_schema.index_of(lcol), right_schema.index_of(rcol))
-                else {
-                    continue;
-                };
-                let mut index: HashMap<u32, Vec<usize>> = HashMap::new();
-                for (j, row) in right_rows.iter().enumerate() {
-                    for key in blocking_key_ids(row.get(ri).unwrap_or(&Value::Null), interner) {
-                        index.entry(key).or_default().push(j);
-                    }
-                }
-                let keys: Vec<Vec<u32>> = left_rows
-                    .iter()
-                    .map(|row| blocking_key_ids(row.get(li).unwrap_or(&Value::Null), interner))
-                    .collect();
-                indexes.push(index);
-                left_keys.push(keys);
+    /// The retained candidates of the left rows in `rows`, sorted by
+    /// `(left, right)`.
+    ///
+    /// A row's partners are the right rows sharing a blocking key with it on
+    /// some attribute pair (every right row when blocking is off). Walking
+    /// the postings also counts, per partner and attribute pair, the keys
+    /// the two rows share; [`CandidateKernel::score`] reads string Jaccard
+    /// terms off those counts.
+    fn score_rows(&self, rows: Range<usize>) -> Vec<Candidate> {
+        let attrs = self.left.columns.len();
+        // `seen[j] == i`: right row `j` is already a partner of left row `i`.
+        let mut seen = vec![usize::MAX; self.right_len];
+        // `overlap[j * attrs + p]`: keys shared with right row `j` on pair `p`.
+        let mut overlap = vec![0u32; self.right_len * attrs];
+        let mut partners: Vec<usize> = Vec::new();
+        let mut out = Vec::new();
+        for i in rows {
+            partners.clear();
+            if !self.use_blocking {
+                partners.extend(0..self.right_len);
+                seen.fill(i);
+                overlap.fill(0);
             }
-            PairSource::Blocked { indexes, left_keys, left_len: left_rows.len(), next_row: 0 }
-        } else {
-            PairSource::Exhaustive {
-                left_len: left_rows.len(),
-                right_len: right_rows.len(),
-                next_row: 0,
-            }
-        };
-        PairChunkStream { source, buffer: Vec::new(), chunk_pairs: config.chunk_pairs.max(1) }
-    }
-
-    /// Appends the next left row's pairs to the buffer. Returns false when
-    /// the source is exhausted.
-    fn refill(&mut self) -> bool {
-        match &mut self.source {
-            PairSource::Exhaustive { left_len, right_len, next_row } => {
-                if *next_row >= *left_len || *right_len == 0 {
-                    return false;
-                }
-                let i = *next_row;
-                self.buffer.extend((0..*right_len).map(|j| (i, j)));
-                *next_row += 1;
-                *next_row < *left_len
-            }
-            PairSource::Blocked { indexes, left_keys, left_len, next_row } => {
-                if *next_row >= *left_len {
-                    return false;
-                }
-                let i = *next_row;
-                // Union of this row's matches across all attribute pairs,
-                // sorted and deduplicated — per-row this reproduces exactly
-                // the globally sorted, deduplicated pair list of
-                // `enumerate_pairs` restricted to row `i`.
-                let mut js: Vec<usize> = Vec::new();
-                for (index, keys) in indexes.iter().zip(left_keys.iter()) {
-                    for key in &keys[i] {
-                        if let Some(matched) = index.get(key) {
-                            js.extend_from_slice(matched);
+            for (p, column) in self.left.columns.iter().enumerate() {
+                for &key in column[i].keys() {
+                    for &j in self.index.postings(p, key) {
+                        let j = j as usize;
+                        if seen[j] != i {
+                            seen[j] = i;
+                            partners.push(j);
+                            overlap[j * attrs..(j + 1) * attrs].fill(0);
                         }
+                        overlap[j * attrs + p] += 1;
                     }
                 }
-                js.sort_unstable();
-                js.dedup();
-                self.buffer.extend(js.into_iter().map(|j| (i, j)));
-                *next_row += 1;
-                *next_row < *left_len
+            }
+            partners.sort_unstable();
+            for &j in &partners {
+                let similarity = self.score(i, j, &overlap[j * attrs..(j + 1) * attrs]);
+                if similarity >= self.min_similarity {
+                    out.push(Candidate { left: i, right: j, similarity });
+                }
             }
         }
+        out
     }
-}
 
-impl Iterator for PairChunkStream {
-    type Item = Vec<(usize, usize)>;
-
-    fn next(&mut self) -> Option<Vec<(usize, usize)>> {
-        while self.buffer.len() < self.chunk_pairs && self.refill() {}
-        if self.buffer.is_empty() {
-            return None;
+    /// Mean similarity of left row `i` and right row `j` over the attribute
+    /// pairs, accumulated in the same order (and therefore with the same
+    /// floating-point result) as [`tuple_similarity`]. `overlap[p]` is the
+    /// number of blocking keys the two rows share on attribute pair `p`.
+    fn score(&self, i: usize, j: usize, overlap: &[u32]) -> f64 {
+        let mut total = 0.0;
+        for ((lcol, rcol), &shared) in
+            self.left.columns.iter().zip(&self.right.columns).zip(overlap)
+        {
+            total += prepared_similarity(&lcol[i], &rcol[j], self.metric, shared);
         }
-        let take = self.chunk_pairs.min(self.buffer.len());
-        let rest = self.buffer.split_off(take);
-        Some(std::mem::replace(&mut self.buffer, rest))
+        total / self.left.columns.len() as f64
     }
 }
 
-/// Computes candidate pairs and their raw similarities.
+/// Left rows per scoring block, at least: smaller inputs are not worth a
+/// worker thread.
+const MIN_BLOCK_ROWS: usize = 32;
+
+/// Computes candidate pairs and their raw similarities, sorted by
+/// `(left, right)`.
 ///
-/// Rows are tokenised once up front; pairs are enumerated as a stream of
-/// bounded chunks ([`PairChunkStream`]) scored in parallel across CPU
-/// cores, so the output is byte-identical to a sequential scan (and to
-/// [`candidate_pairs_naive`]) while the full pair list is never resident.
+/// Both sides are tokenised once; left rows are then scored in contiguous
+/// blocks on the work-stealing pool and the blocks' outputs concatenated in
+/// order, so the result is byte-identical to a sequential scan and to
+/// [`candidate_pairs_naive`].
 pub fn candidate_pairs(
     left_schema: &Schema,
     left_rows: &[Row],
@@ -453,77 +437,20 @@ pub fn candidate_pairs(
     right_rows: &[Row],
     config: &MappingConfig,
 ) -> Vec<Candidate> {
-    candidate_pairs_streaming(left_schema, left_rows, right_schema, right_rows, config).0
-}
-
-/// [`candidate_pairs`] plus the streaming statistics of the run (total
-/// pairs scored, chunk count, peak resident pairs).
-pub fn candidate_pairs_streaming(
-    left_schema: &Schema,
-    left_rows: &[Row],
-    right_schema: &Schema,
-    right_rows: &[Row],
-    config: &MappingConfig,
-) -> (Vec<Candidate>, CandidateGenStats) {
-    let chunk_pairs = config.chunk_pairs.max(1);
     if config.attr_pairs.is_empty() {
-        return (Vec::new(), CandidateGenStats { chunk_pairs, ..Default::default() });
+        return Vec::new();
     }
-
-    let mut interner = TokenInterner::new();
-    let scorer = PreparedScorer::new(
-        left_schema,
-        left_rows,
-        right_schema,
-        right_rows,
-        config,
-        &mut interner,
-    );
-
-    let stream = PairChunkStream::new(
-        left_schema,
-        left_rows,
-        right_schema,
-        right_rows,
-        config,
-        &mut interner,
-    );
-
-    let threads = explain3d_parallel::max_threads().max(1);
-    let scorer = &scorer;
-    let min_similarity = config.min_similarity;
-
-    // The persistent worker pool tracks the in-flight set itself, so the
-    // residency metric comes straight from the scheduler (each worker holds
-    // at most one chunk, so the peak is bounded by `threads × chunk size`)
-    // instead of being reconstructed caller-side from assumed wave
-    // boundaries.
-    let (scored, sched) = explain3d_parallel::par_map_iter_stealing(
-        stream,
+    let kernel = CandidateKernel::new(left_schema, left_rows, right_schema, right_rows, config);
+    let threads = explain3d_parallel::max_threads();
+    // A few blocks per worker, so stealing can even out uneven rows.
+    let blocks = left_rows.len().div_ceil(MIN_BLOCK_ROWS).min(4 * threads);
+    let (scored, _) = explain3d_parallel::par_map_stealing_weighted(
+        split_ranges(left_rows.len(), blocks),
         threads,
-        Vec::len,
-        |chunk: Vec<(usize, usize)>| {
-            let mut out = Vec::new();
-            for (i, j) in chunk {
-                let sim = scorer.score(i, j);
-                if sim >= min_similarity {
-                    out.push(Candidate { left: i, right: j, similarity: sim });
-                }
-            }
-            out
-        },
+        Range::len,
+        |rows| kernel.score_rows(rows),
     );
-
-    let out: Vec<Candidate> = scored.into_iter().flatten().collect();
-    (
-        out,
-        CandidateGenStats {
-            pairs_scored: sched.total_weight,
-            chunks: sched.executed,
-            chunk_pairs,
-            peak_resident_pairs: sched.peak_resident_weight,
-        },
-    )
+    scored.concat()
 }
 
 /// The straightforward candidate generator: every pair is scored with
@@ -565,12 +492,12 @@ pub fn candidate_pairs_naive(
 
 /// The pairs a candidate generator must score: the blocked pair list when
 /// blocking is enabled, the full row-major cross product otherwise. This is
-/// the *reference* enumeration used by [`candidate_pairs_naive`];
-/// [`PairChunkStream`] re-implements the same enumeration as a stream and
-/// MUST stay in lock-step with it — any change to blocking semantics has to
-/// land in both places (the contract is pinned by
-/// `pair_chunk_stream_matches_enumerate_pairs` and the seeded equivalence
-/// suites in `tests/perf_equivalence.rs`).
+/// the *reference* enumeration used by [`candidate_pairs_naive`]. The
+/// kernel behind [`candidate_pairs`] re-implements the same enumeration
+/// (`Prepared::keys` and the posting index) and MUST stay in lock-step with
+/// it — any change to blocking semantics has to land in both places (the
+/// contract is pinned by `row_partners_match_enumerate_pairs` and the
+/// seeded equivalence suites in `tests/perf_equivalence.rs`).
 fn enumerate_pairs(
     left_schema: &Schema,
     left_rows: &[Row],
@@ -854,70 +781,176 @@ mod tests {
         let (rs, rr) = right();
         let cfg = MappingConfig::new(vec![]);
         assert!(candidate_pairs(&ls, &lr, &rs, &rr, &cfg).is_empty());
-        let (out, stats) = candidate_pairs_streaming(&ls, &lr, &rs, &rr, &cfg);
-        assert!(out.is_empty());
-        assert_eq!(stats.pairs_scored, 0);
-        assert_eq!(stats.chunks, 0);
+        assert!(candidate_pairs_naive(&ls, &lr, &rs, &rr, &cfg).is_empty());
     }
 
-    #[test]
-    fn pair_chunk_stream_matches_enumerate_pairs() {
-        let (ls, lr) = left();
-        let (rs, rr) = right();
-        for blocking in [true, false] {
-            for chunk_pairs in [1usize, 2, 3, 7, 1024] {
-                let mut cfg = config().with_chunk_pairs(chunk_pairs);
-                cfg.use_blocking = blocking;
-                let mut interner = TokenInterner::new();
-                let expected = enumerate_pairs(&ls, &lr, &rs, &rr, &cfg, &mut interner);
-                let mut interner = TokenInterner::new();
-                let stream = PairChunkStream::new(&ls, &lr, &rs, &rr, &cfg, &mut interner);
-                let mut streamed = Vec::new();
-                for chunk in stream {
-                    assert!(chunk.len() <= chunk_pairs, "chunk exceeded its bound");
-                    streamed.extend(chunk);
+    /// Asserts `candidate_pairs` equals `candidate_pairs_naive` bit for bit
+    /// under every metric, with blocking on and off, at a zero floor and at
+    /// the default one.
+    fn assert_kernel_matches_naive(
+        ls: &Schema,
+        lr: &[Row],
+        rs: &Schema,
+        rr: &[Row],
+        attr_pairs: &[(&str, &str)],
+    ) {
+        let attr_pairs: Vec<(String, String)> =
+            attr_pairs.iter().map(|(l, r)| (l.to_string(), r.to_string())).collect();
+        for metric in [StringMetric::Jaccard, StringMetric::Jaro, StringMetric::JaroWinkler] {
+            for blocking in [true, false] {
+                for min in [0.0, MappingConfig::default().min_similarity] {
+                    let mut cfg = MappingConfig::new(attr_pairs.clone())
+                        .with_metric(metric)
+                        .with_min_similarity(min);
+                    cfg.use_blocking = blocking;
+                    let fast = candidate_pairs(ls, lr, rs, rr, &cfg);
+                    let naive = candidate_pairs_naive(ls, lr, rs, rr, &cfg);
+                    let bits = |c: &[Candidate]| -> Vec<(usize, usize, u64)> {
+                        c.iter().map(|c| (c.left, c.right, c.similarity.to_bits())).collect()
+                    };
+                    assert_eq!(
+                        bits(&fast),
+                        bits(&naive),
+                        "{attr_pairs:?} metric {metric:?} blocking {blocking} min {min}"
+                    );
                 }
-                assert_eq!(streamed, expected, "blocking={blocking} chunk={chunk_pairs}");
             }
         }
     }
 
     #[test]
-    fn streaming_stats_bound_peak_residency() {
-        let (ls, lr) = left();
-        let (rs, rr) = right();
-        let cfg = config().without_blocking().with_chunk_pairs(2).with_min_similarity(0.0);
-        let (out, stats) = candidate_pairs_streaming(&ls, &lr, &rs, &rr, &cfg);
-        assert_eq!(stats.pairs_scored, lr.len() * rr.len());
-        assert_eq!(stats.chunk_pairs, 2);
-        assert_eq!(stats.chunks, stats.pairs_scored.div_ceil(2));
-        let threads = explain3d_parallel::max_threads().max(1);
-        assert!(stats.peak_resident_pairs <= threads * stats.chunk_pairs);
-        assert!(stats.peak_resident_pairs >= 1);
-        // The retained output is unaffected by the chunk size.
-        assert_eq!(
-            out,
-            candidate_pairs(
-                &ls,
-                &lr,
-                &rs,
-                &rr,
-                &config().without_blocking().with_min_similarity(0.0)
-            )
-        );
+    fn kernel_matches_naive_on_mixed_type_values() {
+        // Str "1999" vs Int 1999 share the key "1999"; "-2" and 3.5 split
+        // into several tokens but block on their whole text; booleans block
+        // on their one token.
+        let ls = Schema::from_pairs(&[
+            ("a", ValueType::Str),
+            ("b", ValueType::Int),
+            ("c", ValueType::Bool),
+        ]);
+        let rs = Schema::from_pairs(&[
+            ("x", ValueType::Int),
+            ("y", ValueType::Str),
+            ("z", ValueType::Bool),
+            ("w", ValueType::Str),
+        ]);
+        let lr = vec![
+            row!["1999", -2, true],
+            row!["3.5", 1999, false],
+            row!["2 3 5", 3, true],
+            row!["true", Value::Float(3.5), Value::Null],
+            row![Value::Null, Value::Float(-2.0), false],
+        ];
+        let rr = vec![
+            row![1999, "-2", true, "true"],
+            row![Value::Float(3.5), "3 5", false, "false"],
+            row![-2, "1999", true, "3.5"],
+            row![2, "2", Value::Null, "TRUE"],
+        ];
+        assert_kernel_matches_naive(&ls, &lr, &rs, &rr, &[("a", "x"), ("b", "y"), ("c", "z")]);
+        assert_kernel_matches_naive(&ls, &lr, &rs, &rr, &[("a", "y"), ("b", "x")]);
+        assert_kernel_matches_naive(&ls, &lr, &rs, &rr, &[("c", "w"), ("a", "w")]);
+        assert_kernel_matches_naive(&ls, &lr, &rs, &rr, &[("b", "w"), ("c", "y")]);
     }
 
     #[test]
-    fn chunk_size_never_changes_the_output() {
+    fn kernel_matches_naive_on_token_edge_cases() {
+        // Repeated and case-variant tokens, and empty or punctuation-only
+        // strings on one side and on both.
+        let ls = Schema::from_pairs(&[("s", ValueType::Str)]);
+        let rs = Schema::from_pairs(&[("t", ValueType::Str)]);
+        let lr = vec![
+            row!["Data data DATA science"],
+            row![""],
+            row!["--!!"],
+            row!["data, Science; science"],
+            row!["ünïcode Ünïcode x"],
+        ];
+        let rr = vec![
+            row!["data Science science"],
+            row!["  "],
+            row![""],
+            row!["DATA"],
+            row!["ÜNÏCODE ünïcode X"],
+        ];
+        assert_kernel_matches_naive(&ls, &lr, &rs, &rr, &[("s", "t")]);
+        // Empty and punctuation-only strings on one side only.
+        assert_kernel_matches_naive(&ls, &lr, &rs, &rr[..1], &[("s", "t")]);
+        assert_kernel_matches_naive(&ls, &lr[..1], &rs, &rr, &[("s", "t")]);
+        // Two attribute pairs over the same columns.
+        assert_kernel_matches_naive(&ls, &lr, &rs, &rr, &[("s", "t"), ("s", "t")]);
+    }
+
+    #[test]
+    fn kernel_matches_naive_on_partial_schemas() {
+        let ls = Schema::from_pairs(&[("name", ValueType::Str), ("year", ValueType::Int)]);
+        let rs = Schema::from_pairs(&[("title", ValueType::Str), ("year", ValueType::Int)]);
+        let lr =
+            vec![row!["computer science", 1999], row!["design", 2001], row!["art history", 1999]];
+        let rr = vec![
+            // Reached from left row 0 through both attribute pairs.
+            row!["science", 1999],
+            row!["art and design", 2000],
+            row!["history", Value::Null],
+        ];
+        let both = [("name", "title"), ("year", "year")];
+        assert_kernel_matches_naive(&ls, &lr, &rs, &rr, &both);
+        // A column that resolves on one side only.
+        assert_kernel_matches_naive(&ls, &lr, &rs, &rr, &[("name", "missing"), ("year", "year")]);
+        assert_kernel_matches_naive(&ls, &lr, &rs, &rr, &[("missing", "title"), ("name", "title")]);
+        // An empty right side, and an empty left side.
+        assert_kernel_matches_naive(&ls, &lr, &rs, &[], &both);
+        assert_kernel_matches_naive(&ls, &[], &rs, &rr, &both);
+    }
+
+    #[test]
+    fn row_partners_match_enumerate_pairs() {
+        // With no floor every partner is retained, so the kernel's pairs are
+        // exactly the reference enumeration's.
         let (ls, lr) = left();
         let (rs, rr) = right();
-        let reference = candidate_pairs_naive(&ls, &lr, &rs, &rr, &config());
-        for chunk_pairs in [1usize, 3, 5, 4096] {
-            let fast = candidate_pairs(&ls, &lr, &rs, &rr, &config().with_chunk_pairs(chunk_pairs));
-            assert_eq!(fast.len(), reference.len(), "chunk={chunk_pairs}");
-            for (f, n) in fast.iter().zip(reference.iter()) {
-                assert_eq!((f.left, f.right), (n.left, n.right));
-                assert_eq!(f.similarity.to_bits(), n.similarity.to_bits());
+        for blocking in [true, false] {
+            let mut cfg = config().with_min_similarity(f64::NEG_INFINITY);
+            cfg.use_blocking = blocking;
+            let expected = enumerate_pairs(&ls, &lr, &rs, &rr, &cfg, &mut TokenInterner::new());
+            let pairs: Vec<(usize, usize)> = candidate_pairs(&ls, &lr, &rs, &rr, &cfg)
+                .iter()
+                .map(|c| (c.left, c.right))
+                .collect();
+            assert_eq!(pairs, expected, "blocking={blocking}");
+        }
+    }
+
+    #[test]
+    fn block_split_never_changes_the_output() {
+        let ls = Schema::from_pairs(&[("name", ValueType::Str), ("year", ValueType::Int)]);
+        let rs = ls.clone();
+        let words = ["data", "science", "art", "design", "history", "computer"];
+        let rows = |offset: usize| -> Vec<Row> {
+            (0..19)
+                .map(|k| {
+                    let name = format!("{} {}", words[(k + offset) % 6], words[(k * 5) % 6]);
+                    row![name, 1999 + (k % 3) as i64]
+                })
+                .collect()
+        };
+        let (lr, rr) = (rows(0), rows(2));
+        let mut cfg = MappingConfig::new(vec![
+            ("name".to_string(), "name".to_string()),
+            ("year".to_string(), "year".to_string()),
+        ]);
+        for blocking in [true, false] {
+            cfg.use_blocking = blocking;
+            let kernel = CandidateKernel::new(&ls, &lr, &rs, &rr, &cfg);
+            let whole = kernel.score_rows(0..lr.len());
+            assert!(!whole.is_empty());
+            assert_eq!(whole, candidate_pairs_naive(&ls, &lr, &rs, &rr, &cfg));
+            for k in [1, 2, 7] {
+                let blocks = split_ranges(lr.len(), k);
+                assert_eq!(blocks.len(), k);
+                let joined: Vec<Candidate> =
+                    blocks.into_iter().flat_map(|rows| kernel.score_rows(rows)).collect();
+                assert_eq!(joined, whole, "blocking={blocking} k={k}");
             }
         }
     }

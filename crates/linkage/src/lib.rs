@@ -30,9 +30,8 @@ pub mod tokenize;
 
 pub use calibrate::BucketCalibrator;
 pub use generator::{
-    candidate_pairs, candidate_pairs_naive, candidate_pairs_streaming, generate_calibrated_mapping,
-    generate_mapping, label_candidates, Candidate, CandidateGenStats, MappingConfig,
-    PairChunkStream, PreparedScorer,
+    candidate_pairs, candidate_pairs_naive, generate_calibrated_mapping, generate_mapping,
+    label_candidates, Candidate, MappingConfig,
 };
 pub use matches::{TupleMapping, TupleMatch};
 pub use rswoosh::{Cluster, RSwoosh, RSwooshConfig, Side, SwooshRecord};

@@ -35,12 +35,6 @@ pub fn jaccard(a: &str, b: &str) -> f64 {
 pub fn jaccard_ids(a: &[u32], b: &[u32]) -> f64 {
     debug_assert!(a.windows(2).all(|w| w[0] < w[1]), "left ids not sorted/deduped");
     debug_assert!(b.windows(2).all(|w| w[0] < w[1]), "right ids not sorted/deduped");
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
     let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -53,8 +47,21 @@ pub fn jaccard_ids(a: &[u32], b: &[u32]) -> f64 {
             }
         }
     }
-    let union = a.len() + b.len() - inter;
-    inter as f64 / union as f64
+    jaccard_counts(a.len(), b.len(), inter)
+}
+
+/// Jaccard similarity of two token sets given only their sizes and the size
+/// of their intersection, with [`jaccard`]'s empty-set rules: two empty sets
+/// score 1, one empty set scores 0. [`jaccard_ids`] ends in this division,
+/// so an intersection counted any other way gives a bit-identical result.
+pub(crate) fn jaccard_counts(a_len: usize, b_len: usize, inter: usize) -> f64 {
+    if a_len == 0 && b_len == 0 {
+        return 1.0;
+    }
+    if a_len == 0 || b_len == 0 {
+        return 0.0;
+    }
+    inter as f64 / (a_len + b_len - inter) as f64
 }
 
 /// Normalised Euclidean similarity between two numbers:

@@ -98,9 +98,16 @@ impl TokenInterner {
             if raw.is_empty() {
                 continue;
             }
-            scratch.clear();
-            scratch.extend(raw.chars().map(|c| c.to_ascii_lowercase()));
-            out.push(self.intern(&scratch));
+            // Already-lower-case tokens are interned without a copy.
+            let token = if raw.bytes().any(|b| b.is_ascii_uppercase()) {
+                scratch.clear();
+                scratch.push_str(raw);
+                scratch.make_ascii_lowercase();
+                &scratch
+            } else {
+                raw
+            };
+            out.push(self.intern(token));
         }
         out.sort_unstable();
         out.dedup();

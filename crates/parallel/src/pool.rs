@@ -1,9 +1,8 @@
 //! A fixed, long-lived worker pool over a **bounded** job queue — the
-//! serving-side counterpart of the batch entry points in the crate root.
+//! serving-side counterpart of the batch entry point in the crate root.
 //!
-//! The batch schedulers ([`crate::par_map_stealing_weighted`],
-//! [`crate::par_map_iter_stealing`]) spawn scoped workers for one work list
-//! and join them when it drains. A server cannot do that: work arrives
+//! The batch scheduler ([`crate::par_map_stealing_weighted`]) spawns scoped
+//! workers for one work list and joins them when it drains. A server cannot do that: work arrives
 //! forever, one item at a time, and the pool must exist before any of it
 //! does. [`TaskPool`] keeps `threads` workers parked on a condvar and feeds
 //! them through a queue of at most `queue_capacity` pending jobs:

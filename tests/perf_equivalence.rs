@@ -10,10 +10,10 @@
 //!    `ExplanationSet`s and scores;
 //! 3. the indexed `TupleMapping` lookups agree with the original
 //!    linear-scan semantics, duplicate pairs included;
-//! 4. **streaming** candidate generation (bounded pair chunks fed straight
-//!    to the parallel scorer, never materialising the full pair list)
-//!    retains byte-identical candidates to `candidate_pairs_naive` across
-//!    seeded random datasets and chunk sizes;
+//! 4. row-parallel candidate generation (each left row scored against its
+//!    blocked partners, never materialising a pair list) retains
+//!    byte-identical candidates to `candidate_pairs_naive` across seeded
+//!    random datasets;
 //! 5. the batch-packed Stage-2 partition produces the same explanations as
 //!    the unpacked strategies, and parallel runs stay byte-identical to
 //!    sequential ones under a *node-limited* (deterministic-deadline)
@@ -22,8 +22,7 @@
 use explain3d::datagen::rng::{Rng, SeedableRng, StdRng};
 use explain3d::datagen::{generate_synthetic, vocab, SyntheticConfig};
 use explain3d::linkage::{
-    candidate_pairs, candidate_pairs_naive, candidate_pairs_streaming, token_set, Candidate,
-    MappingConfig,
+    candidate_pairs, candidate_pairs_naive, token_set, Candidate, MappingConfig,
 };
 use explain3d::prelude::*;
 
@@ -124,54 +123,40 @@ fn interned_candidates_match_naive_scoring_end_to_end() {
     }
 }
 
-/// Asserts that the streaming generator retains byte-identical candidates
-/// to the naive reference on the given workload for several chunk sizes.
-fn assert_streaming_matches_naive(rows: usize, vocab_size: usize, chunk_sizes: &[usize]) {
+/// Asserts that the candidate generator retains byte-identical candidates
+/// to the naive reference on the given workload.
+fn assert_candidates_match_naive(rows: usize, vocab_size: usize) {
     let (ls, lr, rs, rr) = workload(rows, vocab_size);
     for blocking in [true, false] {
         let mut cfg = mapping_config();
         cfg.use_blocking = blocking;
         let naive = candidate_pairs_naive(&ls, &lr, &rs, &rr, &cfg);
-        for &chunk in chunk_sizes {
-            let cfg = cfg.clone().with_chunk_pairs(chunk);
-            let (fast, stats) = candidate_pairs_streaming(&ls, &lr, &rs, &rr, &cfg);
-            assert_eq!(fast.len(), naive.len(), "rows={rows} blocking={blocking} chunk={chunk}");
-            for (f, n) in fast.iter().zip(naive.iter()) {
-                assert_eq!((f.left, f.right), (n.left, n.right), "chunk={chunk}");
-                assert_eq!(
-                    f.similarity.to_bits(),
-                    n.similarity.to_bits(),
-                    "similarity differs for ({}, {}) at chunk={chunk}",
-                    f.left,
-                    f.right
-                );
-            }
-            // The streaming contract: residency is bounded by the wave of
-            // chunks in flight, and every enumerated pair was scored.
-            let threads = explain3d::parallel::max_threads().max(1);
-            assert!(
-                stats.peak_resident_pairs <= threads * stats.chunk_pairs,
-                "peak {} exceeds threads {threads} × chunk {}",
-                stats.peak_resident_pairs,
-                stats.chunk_pairs
+        let fast = candidate_pairs(&ls, &lr, &rs, &rr, &cfg);
+        assert_eq!(fast.len(), naive.len(), "rows={rows} blocking={blocking}");
+        for (f, n) in fast.iter().zip(naive.iter()) {
+            assert_eq!((f.left, f.right), (n.left, n.right), "rows={rows} blocking={blocking}");
+            assert_eq!(
+                f.similarity.to_bits(),
+                n.similarity.to_bits(),
+                "similarity differs for ({}, {})",
+                f.left,
+                f.right
             );
-            assert!(stats.pairs_scored >= naive.len(), "scored at least the retained pairs");
-            assert_eq!(stats.chunks, stats.pairs_scored.div_ceil(stats.chunk_pairs.max(1)));
         }
     }
 }
 
 #[test]
-fn streaming_candidates_match_naive_across_seeded_datasets() {
-    assert_streaming_matches_naive(60, 40, &[1, 7, 64, 100_000]);
-    assert_streaming_matches_naive(130, 70, &[13, 256]);
+fn row_parallel_candidates_match_naive_across_seeded_datasets() {
+    assert_candidates_match_naive(60, 40);
+    assert_candidates_match_naive(130, 70);
 }
 
 /// Larger seeded dataset for the `--include-ignored` stress lane in CI.
 #[test]
 #[ignore = "stress suite: run with --include-ignored"]
-fn streaming_candidates_match_naive_on_a_large_dataset() {
-    assert_streaming_matches_naive(900, 300, &[1000, 8192]);
+fn row_parallel_candidates_match_naive_on_a_large_dataset() {
+    assert_candidates_match_naive(900, 300);
 }
 
 #[test]
