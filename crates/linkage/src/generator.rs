@@ -248,26 +248,18 @@ fn prepared_similarity(
     }
 }
 
-/// One side's compared columns, prepared in a single pass:
-/// `columns[p][row]` is the row's value in attribute pair `p`'s column on
-/// this side, tokenised once. The same values carry the row's blocking
-/// keys ([`Prepared::keys`]). Both sides of a run share one interner, so
-/// their token ids and keys are comparable.
-struct PreparedSide<'a> {
-    columns: Vec<Vec<Prepared<'a>>>,
-}
-
-impl<'a> PreparedSide<'a> {
-    fn new<'c>(
-        schema: &Schema,
-        rows: &'a [Row],
-        columns: impl Iterator<Item = &'c str>,
-        interner: &mut TokenInterner,
-    ) -> Self {
-        let columns =
-            columns.map(|column| prepare_column(schema, rows, column, interner)).collect();
-        PreparedSide { columns }
-    }
+/// Prepares one side's compared columns in a single pass: `result[p][row]`
+/// is the row's value in attribute pair `p`'s column on this side,
+/// tokenised once. The same values carry the row's blocking keys
+/// ([`Prepared::keys`]). Both sides of a run share one interner, so their
+/// token ids and keys are comparable.
+fn prepare_side<'a, 'c>(
+    schema: &Schema,
+    rows: &'a [Row],
+    columns: impl Iterator<Item = &'c str>,
+    interner: &mut TokenInterner,
+) -> Vec<Vec<Prepared<'a>>> {
+    columns.map(|column| prepare_column(schema, rows, column, interner)).collect()
 }
 
 /// The right side's blocking keys as one inverted index per attribute pair,
@@ -281,10 +273,10 @@ struct PostingIndex {
 
 impl PostingIndex {
     /// Indexes every column of `side`; `tokens` bounds the key ids.
-    fn new(side: &PreparedSide<'_>, tokens: usize) -> Self {
-        let mut offsets = Vec::with_capacity(side.columns.len());
-        let mut rows = Vec::with_capacity(side.columns.len());
-        for column in &side.columns {
+    fn new(side: &[Vec<Prepared<'_>>], tokens: usize) -> Self {
+        let mut offsets = Vec::with_capacity(side.len());
+        let mut rows = Vec::with_capacity(side.len());
+        for column in side {
             // Counting sort: key counts, prefix sums, then a stable scatter.
             let mut offs = vec![0u32; tokens + 1];
             for value in column {
@@ -322,8 +314,8 @@ impl PostingIndex {
 /// Everything one candidate-generation run reads: both prepared sides, the
 /// right side's posting index and the scoring settings.
 struct CandidateKernel<'a> {
-    left: PreparedSide<'a>,
-    right: PreparedSide<'a>,
+    left: Vec<Vec<Prepared<'a>>>,
+    right: Vec<Vec<Prepared<'a>>>,
     index: PostingIndex,
     right_len: usize,
     metric: StringMetric,
@@ -341,10 +333,9 @@ impl<'a> CandidateKernel<'a> {
     ) -> Self {
         let mut interner = TokenInterner::new();
         let pairs = &config.attr_pairs;
-        let left =
-            PreparedSide::new(left_schema, left_rows, pairs.iter().map(|p| &*p.0), &mut interner);
+        let left = prepare_side(left_schema, left_rows, pairs.iter().map(|p| &*p.0), &mut interner);
         let right =
-            PreparedSide::new(right_schema, right_rows, pairs.iter().map(|p| &*p.1), &mut interner);
+            prepare_side(right_schema, right_rows, pairs.iter().map(|p| &*p.1), &mut interner);
         let index = PostingIndex::new(&right, interner.len());
         CandidateKernel {
             left,
@@ -366,7 +357,7 @@ impl<'a> CandidateKernel<'a> {
     /// the two rows share; [`CandidateKernel::score`] reads string Jaccard
     /// terms off those counts.
     fn score_rows(&self, rows: Range<usize>) -> Vec<Candidate> {
-        let attrs = self.left.columns.len();
+        let attrs = self.left.len();
         // `seen[j] == i`: right row `j` is already a partner of left row `i`.
         let mut seen = vec![usize::MAX; self.right_len];
         // `overlap[j * attrs + p]`: keys shared with right row `j` on pair `p`.
@@ -380,7 +371,7 @@ impl<'a> CandidateKernel<'a> {
                 seen.fill(i);
                 overlap.fill(0);
             }
-            for (p, column) in self.left.columns.iter().enumerate() {
+            for (p, column) in self.left.iter().enumerate() {
                 for &key in column[i].keys() {
                     for &j in self.index.postings(p, key) {
                         let j = j as usize;
@@ -410,12 +401,10 @@ impl<'a> CandidateKernel<'a> {
     /// number of blocking keys the two rows share on attribute pair `p`.
     fn score(&self, i: usize, j: usize, overlap: &[u32]) -> f64 {
         let mut total = 0.0;
-        for ((lcol, rcol), &shared) in
-            self.left.columns.iter().zip(&self.right.columns).zip(overlap)
-        {
+        for ((lcol, rcol), &shared) in self.left.iter().zip(&self.right).zip(overlap) {
             total += prepared_similarity(&lcol[i], &rcol[j], self.metric, shared);
         }
-        total / self.left.columns.len() as f64
+        total / self.left.len() as f64
     }
 }
 
