@@ -80,65 +80,6 @@ impl SubProblem {
     pub fn is_empty(&self) -> bool {
         self.size() == 0
     }
-
-    /// Splits the sub-problem into its maximal connected components (with
-    /// respect to its own matches). Isolated tuples become singleton
-    /// components. Components are returned in deterministic order (by
-    /// smallest member in `left_tuples ++ right_tuples` order), each with
-    /// tuples in the order they appear in the parent and matches in the
-    /// parent's match order.
-    ///
-    /// The MILP objective decomposes over connected components, so solving
-    /// each component separately and merging is exact — this is what lets a
-    /// batch-packed partition (several small components per part) keep the
-    /// per-MILP size at the component scale instead of the part scale.
-    pub fn connected_components(&self) -> Vec<SubProblem> {
-        let nl = self.left_tuples.len();
-        let n = nl + self.right_tuples.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Local ids: 0..nl = left tuples, nl..n = right tuples.
-        let left_local: HashMap<usize, usize> =
-            self.left_tuples.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        let right_local: HashMap<usize, usize> =
-            self.right_tuples.iter().enumerate().map(|(j, &t)| (t, nl + j)).collect();
-        let mut dsu = explain3d_partition::DisjointSet::new(n);
-        for m in &self.matches {
-            if let (Some(&a), Some(&b)) = (left_local.get(&m.left), right_local.get(&m.right)) {
-                dsu.union(a, b);
-            }
-        }
-        let groups = dsu.groups();
-        let mut comp_of = vec![usize::MAX; n];
-        for (c, group) in groups.iter().enumerate() {
-            for &id in group {
-                comp_of[id] = c;
-            }
-        }
-        let mut out: Vec<SubProblem> = groups
-            .iter()
-            .map(|group| {
-                let mut comp = SubProblem::default();
-                for &id in group {
-                    if id < nl {
-                        comp.left_tuples.push(self.left_tuples[id]);
-                    } else {
-                        comp.right_tuples.push(self.right_tuples[id - nl]);
-                    }
-                }
-                comp
-            })
-            .collect();
-        for m in &self.matches {
-            if let Some(&a) = left_local.get(&m.left) {
-                if right_local.contains_key(&m.right) {
-                    out[comp_of[a]].matches.push(*m);
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Variable handles for one tuple. The `y`/`p` handles are kept for

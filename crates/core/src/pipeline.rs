@@ -5,10 +5,11 @@
 //! tuple mapping, the pipeline
 //!
 //! 1. builds the bipartite mapping graph,
-//! 2. splits it according to the configured [`PartitioningStrategy`],
-//! 3. solves each connected component of each sub-problem — exactly by
-//!    enumeration when it has at most `EXACT_MAX_MATCHES` matches, else by
-//!    encoding and solving its MILP,
+//! 2. splits it according to the configured [`PartitioningStrategy`]: one
+//!    part per connected component, splitting only components larger than
+//!    the batch,
+//! 3. solves each part — exactly by enumeration when it has at most
+//!    `EXACT_MAX_MATCHES` matches, else by encoding and solving its MILP,
 //! 4. merges the decoded explanations and scores the result.
 
 use crate::attr_match::AttributeMatches;
@@ -18,7 +19,7 @@ use crate::explanation::ExplanationSet;
 use crate::probability::{log_probability, ProbabilityParams};
 use explain3d_linkage::TupleMapping;
 use explain3d_milp::prelude::MilpConfig;
-use explain3d_partition::{smart_partition_packed, MappingGraph, SmartPartitionConfig};
+use explain3d_partition::{smart_partition, MappingGraph, SmartPartitionConfig};
 use std::time::{Duration, Instant};
 
 /// How Stage 2 splits the problem before encoding MILPs.
@@ -30,8 +31,10 @@ pub enum PartitioningStrategy {
     /// Split into maximal connected components of the mapping graph (exact,
     /// but no size guarantee — Section 4's motivating observation).
     ConnectedComponents,
-    /// Smart partitioning (Algorithm 3) with the given batch size:
-    /// `k = ⌈(|T1|+|T2|)/batch⌉` partitions of size at most `batch`.
+    /// Smart partitioning (Algorithm 3) with the given batch size: one
+    /// part per connected component of at most `batch` tuples; a larger
+    /// component is split along low-weight edges into parts of at most
+    /// `batch` (unless one high-probability cluster is itself larger).
     Smart {
         /// Maximum number of tuples per partition.
         batch_size: usize,
@@ -155,10 +158,6 @@ pub struct DeltaStats {
     pub component_cache_hits: usize,
     /// Sub-problem components that had to be (re-)solved.
     pub component_cache_misses: usize,
-    /// Packed parts whose every component hit the solution cache.
-    pub parts_reused: usize,
-    /// Packed parts containing at least one re-solved component.
-    pub parts_dirty: usize,
 }
 
 /// Timing and size statistics for a pipeline run.
@@ -184,19 +183,16 @@ pub struct PipelineStats {
     /// (i.e. the work a sequential run would serialise). The ratio
     /// `solve_cpu_time / solve_time` approximates the parallel speedup.
     pub solve_cpu_time: Duration,
-    /// Encode+solve time of the slowest single sub-problem — the lower
-    /// bound on `solve_time` no amount of parallelism can beat.
+    /// Encode+solve time of the slowest single part. A part is one
+    /// connected component (or a connected piece of a split one; under
+    /// `None`, the whole problem), so this is the slowest single component:
+    /// the lower bound on `solve_time` no amount of parallelism can beat.
     pub max_subproblem_time: Duration,
     /// Worker threads used for the solve phase (1 when sequential).
     pub threads: usize,
-    /// Number of sub-problems (MILPs) solved.
+    /// Number of parts: connected components plus the extra pieces of split
+    /// components (1 under `None`).
     pub num_subproblems: usize,
-    /// Target part count of the smart partitioner,
-    /// `k = ⌈(|T1| + |T2|) / batch⌉` (0 for the other strategies). The
-    /// packed partitioner lands `num_subproblems` at
-    /// `target_parts + split_components` or below on pack-friendly
-    /// workloads, instead of one part per connected component.
-    pub target_parts: usize,
     /// Connected components the smart partitioner had to split across parts
     /// because they exceeded the batch bound (0 for other strategies).
     pub split_components: usize,
@@ -208,9 +204,9 @@ pub struct PipelineStats {
     pub max_subproblem_size: usize,
     /// Total branch-and-bound nodes across all MILPs.
     pub milp_nodes: usize,
-    /// Total MILPs solved. With smart partitioning this is the number of
-    /// connected components (each packed part is solved component-wise, so
-    /// `milp_count >= num_subproblems`); otherwise it equals
+    /// Jobs solved, by enumeration or MILP. Every part is one job (a
+    /// connected component, a connected piece of a split one, or under
+    /// `None` the whole problem), so this equals
     /// [`num_subproblems`](PipelineStats::num_subproblems).
     pub milp_count: usize,
     /// Number of MILPs that hit a limit before proving optimality (their
@@ -280,9 +276,9 @@ impl Explain3D {
 
         // Solve the components on the work-stealing pool. They are
         // independent by construction and results come back in input order,
-        // so the merge below is identical to a sequential nested loop over
-        // parts and their components — one huge component keeps only one
-        // worker busy while the rest of the pool drains the other parts.
+        // so the merge below is identical to a sequential loop over the
+        // jobs — one huge component keeps only one worker busy while the
+        // rest of the pool drains the others.
         let solve_start = Instant::now();
         let requested = self.config.requested_threads();
         let threads = requested.min(jobs.len()).max(1);
@@ -321,17 +317,17 @@ impl Explain3D {
     }
 }
 
-/// Partition-phase metadata: per-part sizes plus the packing diagnostics.
+/// Partition-phase metadata: per-part sizes plus the splitter diagnostics.
 /// Produced by [`component_jobs`] alongside the job list; consumed by
 /// [`assemble_report`] so the cold pipeline and the incremental
 /// re-explanation path fold statistics identically.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PartitionMeta {
-    /// Size (tuples) of each non-empty part, in partition order.
+    /// Size (tuples) of each part, in job order. Under `ConnectedComponents`
+    /// and `Smart` a part is a connected component or one piece of a split
+    /// one.
     pub part_sizes: Vec<usize>,
-    /// Target part count `k` of the smart partitioner (0 otherwise).
-    pub target_parts: usize,
-    /// Components split across parts by the smart partitioner.
+    /// Components larger than the batch that the smart partitioner split.
     pub split_components: usize,
     /// Parts exceeding the batch bound (unsplittable clusters).
     pub oversized_parts: usize,
@@ -342,21 +338,33 @@ pub struct PartitionMeta {
 /// incremental re-explanation subsystem derives **exactly** the job list a
 /// cold run would solve (the byte-identity invariant hinges on it).
 ///
-/// A batch-packed part holds several independent connected components
-/// (packing merges small components to hit the target part count); the MILP
-/// objective decomposes over components, so the solve phase schedules one
-/// MILP per component. The partitioner already knows the component
-/// structure (`component_parts`), so no per-part union-find re-derivation
-/// is needed. Empty parts are dropped here so all code paths see the same
-/// work list. Jobs are `(part index, component)` pairs, part-major in
-/// partition order — exactly the order a sequential nested loop would solve
-/// and merge them in.
+/// `ConnectedComponents` and `Smart` share one loop: [`smart_partition`]
+/// with a batch bound of `usize::MAX` or `batch_size`. Every connected
+/// component within the bound is one part and one job, so with no
+/// oversized component the two strategies give the same job list and
+/// byte-identical reports. Jobs are `(part index, component)` pairs in
+/// component order (by smallest global node id), a function of the mapping
+/// graph alone.
 pub fn component_jobs(
     strategy: PartitioningStrategy,
     left: &CanonicalRelation,
     right: &CanonicalRelation,
     mapping: &TupleMapping,
 ) -> (Vec<(usize, SubProblem)>, PartitionMeta) {
+    let mut meta = PartitionMeta::default();
+    let batch_size = match strategy {
+        PartitioningStrategy::None => {
+            let sub = SubProblem::full(left, right, mapping);
+            if sub.size() == 0 {
+                return (Vec::new(), meta);
+            }
+            meta.part_sizes.push(sub.size());
+            return (vec![(0, sub)], meta);
+        }
+        PartitioningStrategy::ConnectedComponents => usize::MAX,
+        PartitioningStrategy::Smart { batch_size } => batch_size,
+    };
+
     // Build the bipartite mapping graph.
     let mut graph = MappingGraph::new(left.len(), right.len());
     for m in mapping.matches() {
@@ -365,51 +373,16 @@ pub fn component_jobs(
         }
     }
 
-    let mut meta = PartitionMeta::default();
-    let mut jobs: Vec<(usize, SubProblem)> = Vec::new();
-    let push_part = |comps: Vec<SubProblem>,
-                     jobs: &mut Vec<(usize, SubProblem)>,
-                     part_sizes: &mut Vec<usize>| {
-        let size: usize = comps.iter().map(SubProblem::size).sum();
-        if size == 0 {
-            return;
-        }
-        let part = part_sizes.len();
-        part_sizes.push(size);
-        jobs.extend(comps.into_iter().filter(|c| !c.is_empty()).map(|c| (part, c)));
-    };
-    match strategy {
-        PartitioningStrategy::None => {
-            push_part(
-                vec![SubProblem::full(left, right, mapping)],
-                &mut jobs,
-                &mut meta.part_sizes,
-            );
-        }
-        PartitioningStrategy::ConnectedComponents => {
-            for c in graph.connected_components() {
-                push_part(
-                    vec![component_to_subproblem(&c, mapping)],
-                    &mut jobs,
-                    &mut meta.part_sizes,
-                );
-            }
-        }
-        PartitioningStrategy::Smart { batch_size } => {
-            let cfg = SmartPartitionConfig::with_batch_size(batch_size);
-            let packed = smart_partition_packed(&graph, &cfg);
-            meta.target_parts = packed.target_parts;
-            meta.split_components = packed.split_components;
-            meta.oversized_parts = packed.oversized_parts.len();
-            for comps in packed.component_parts(&graph) {
-                push_part(
-                    comps.iter().map(|c| component_to_subproblem(c, mapping)).collect(),
-                    &mut jobs,
-                    &mut meta.part_sizes,
-                );
-            }
-        }
-    }
+    let split = smart_partition(&graph, &SmartPartitionConfig::with_batch_size(batch_size));
+    meta.split_components = split.split_components;
+    meta.oversized_parts = split.oversized_parts.len();
+    meta.part_sizes = split.parts.iter().map(|c| c.size()).collect();
+    let jobs = split
+        .parts
+        .iter()
+        .enumerate()
+        .map(|(part, component)| (part, component_to_subproblem(component, mapping)))
+        .collect();
     (jobs, meta)
 }
 
@@ -433,7 +406,6 @@ pub fn assemble_report(
     let relation = matches.mapping_relation();
     let mut merged = ExplanationSet::new();
     let mut stats = PipelineStats {
-        target_parts: meta.target_parts,
         split_components: meta.split_components,
         oversized_parts: meta.oversized_parts,
         num_subproblems: meta.part_sizes.len(),
@@ -442,17 +414,15 @@ pub fn assemble_report(
         ..Default::default()
     };
     let assemble_start = Instant::now();
-    let mut part_times = vec![Duration::ZERO; meta.part_sizes.len()];
-    for (part, outcome) in outcomes {
+    for (_, outcome) in outcomes {
         stats.milp_nodes += outcome.nodes;
         stats.milp_count += 1;
         stats.suboptimal_subproblems += outcome.suboptimal;
         stats.warm_lp_solves += outcome.warm_lp_solves;
         stats.solve_cpu_time += outcome.solve_time;
-        part_times[part] += outcome.solve_time;
+        stats.max_subproblem_time = stats.max_subproblem_time.max(outcome.solve_time);
         merged.merge(outcome.explanations);
     }
-    stats.max_subproblem_time = part_times.into_iter().max().unwrap_or(Duration::ZERO);
     merged.normalise();
 
     let log_prob = log_probability(&merged, left, right, mapping, &config.params);
@@ -652,19 +622,11 @@ mod tests {
             Explain3D::new(Explain3DConfig::batched(6)).explain(&t1, &t2, &attr(), &mapping);
         assert!(batched.stats.num_subproblems > 1);
         assert!(batched.stats.max_subproblem_size <= 6);
-        // Packing diagnostics: 23 tuples / batch 6 → k = 4, and the packed
-        // part count stays within target + splits (no oversized clusters).
-        assert_eq!(batched.stats.target_parts, 4);
+        // The 22-tuple chain exceeds batch 6 and is split along its weak
+        // links; no single high-probability couple is oversized.
+        assert_eq!(batched.stats.split_components, 1);
         assert_eq!(batched.stats.oversized_parts, 0);
-        assert!(
-            batched.stats.num_subproblems
-                <= batched.stats.target_parts + batched.stats.split_components,
-            "{} sub-problems for target {} + {} splits",
-            batched.stats.num_subproblems,
-            batched.stats.target_parts,
-            batched.stats.split_components
-        );
-        assert_eq!(no_opt.stats.target_parts, 0);
+        assert_eq!(batched.stats.milp_count, batched.stats.num_subproblems);
 
         let cc = Explain3D::new(Explain3DConfig::connected_components()).explain(
             &t1,

@@ -27,10 +27,11 @@
 //!    element for element.
 //! 2. **Partition.** The job list is derived by the *same*
 //!    [`explain3d_core::pipeline::component_jobs`] call the cold pipeline
-//!    uses, on the identical mapping — batch packing is global (first-fit
-//!    decreasing over all components), so it is deterministically recomputed
-//!    rather than patched; what is reused across the new layout is the
-//!    per-component solutions, which packing only groups, never alters.
+//!    uses, on the identical mapping. Each connected component is one job
+//!    (only a component larger than the batch is split), in component
+//!    order, so a component's job depends on its own tuples and edges alone;
+//!    the list is recomputed in full on each run, and what is reused is the
+//!    per-component solutions.
 //! 3. **Solutions.** A component's MILP outcome is a deterministic function
 //!    of its *content* — member impacts and match probabilities in
 //!    component order (tuple identities only name variables; the paper's
@@ -448,7 +449,6 @@ impl ExplainSession {
         // Resolve cache hits; collect misses with their job slots.
         let mut slots: Vec<Option<(usize, ComponentOutcome)>> = Vec::with_capacity(jobs.len());
         let mut missed: Vec<(usize, usize, SubProblem)> = Vec::new();
-        let mut part_missed = vec![false; meta.part_sizes.len()];
         for (slot, ((part, sub), hash)) in jobs.into_iter().zip(&hashes).enumerate() {
             if let Some(entry) = self.solutions.get_mut(hash) {
                 entry.last_used = generation;
@@ -456,16 +456,8 @@ impl ExplainSession {
                 slots.push(Some((part, entry.to_outcome(&sub))));
             } else {
                 self.stats.component_cache_misses += 1;
-                part_missed[part] = true;
                 missed.push((slot, part, sub));
                 slots.push(None);
-            }
-        }
-        for &m in &part_missed {
-            if m {
-                self.stats.parts_dirty += 1;
-            } else {
-                self.stats.parts_reused += 1;
             }
         }
 
@@ -760,7 +752,6 @@ mod tests {
         assert_eq!(after.component_cache_misses, before.component_cache_misses);
         assert_eq!(after.candidates_reused - before.candidates_reused, s.candidates().len());
         assert!(after.component_cache_hits > before.component_cache_hits);
-        assert_eq!(after.parts_dirty, before.parts_dirty);
     }
 
     #[test]

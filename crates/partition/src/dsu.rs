@@ -76,15 +76,18 @@ impl DisjointSet {
     /// Groups element indexes by their set representative, in ascending
     /// order of the smallest member of each group (deterministic).
     pub fn groups(&mut self) -> Vec<Vec<usize>> {
-        let n = self.len();
-        let mut by_root: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-        for x in 0..n {
+        // Scanning elements in ascending order opens each group at its
+        // smallest member, so groups come out in that order already.
+        let mut group_of_root = vec![usize::MAX; self.len()];
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for x in 0..self.len() {
             let r = self.find(x);
-            by_root.entry(r).or_default().push(x);
+            if group_of_root[r] == usize::MAX {
+                group_of_root[r] = groups.len();
+                groups.push(Vec::new());
+            }
+            groups[group_of_root[r]].push(x);
         }
-        // BTreeMap iteration is by root id; re-sort groups by smallest member.
-        let mut groups: Vec<Vec<usize>> = by_root.into_values().collect();
-        groups.sort_by_key(|g| g[0]);
         groups
     }
 }

@@ -255,82 +255,6 @@ impl Partition {
     pub fn used_parts(&self) -> BTreeSet<usize> {
         self.assignment.iter().copied().collect()
     }
-
-    /// Splits the partition into per-part lists of **connected components**
-    /// (with respect to the part's own intra-part edges; isolated nodes
-    /// become singleton components). Empty parts are omitted.
-    ///
-    /// A batch-packed part typically holds several independent components —
-    /// packing merges small components to hit the target part count — and
-    /// the MILP objective decomposes over them, so Stage 2 schedules
-    /// *components*, not parts, on its worker pool. The partitioner already
-    /// knows the component structure; exposing it here saves the solver a
-    /// per-part union-find pass.
-    ///
-    /// Deterministic: parts in part-index order, components within a part
-    /// ordered by their smallest global node id, nodes and edges in global
-    /// order.
-    pub fn component_parts(&self, graph: &MappingGraph) -> Vec<Vec<Component>> {
-        let n = graph.node_count();
-        let mut dsu = DisjointSet::new(n);
-        for e in graph.edges() {
-            let (l, r) = (graph.left_id(e.left), graph.right_id(e.right));
-            if self.assignment[l] == self.assignment[r] {
-                dsu.union(l, r);
-            }
-        }
-        // One component per (part, root), in first-node order within the
-        // part.
-        let mut comp_of_root: Vec<usize> = vec![usize::MAX; n];
-        let mut parts: Vec<Vec<Component>> = vec![Vec::new(); self.k];
-        for id in 0..n {
-            let p = self.assignment[id];
-            let root = dsu.find(id);
-            let comp = if comp_of_root[root] == usize::MAX {
-                parts[p].push(Component::default());
-                comp_of_root[root] = parts[p].len() - 1;
-                parts[p].len() - 1
-            } else {
-                comp_of_root[root]
-            };
-            match graph.node_of(id) {
-                Node::Left(i) => parts[p][comp].left.push(i),
-                Node::Right(j) => parts[p][comp].right.push(j),
-            }
-        }
-        for (e, edge) in graph.edges().iter().enumerate() {
-            let (l, r) = (graph.left_id(edge.left), graph.right_id(edge.right));
-            if self.assignment[l] == self.assignment[r] {
-                let comp = comp_of_root[dsu.find(l)];
-                parts[self.assignment[l]][comp].edges.push(e);
-            }
-        }
-        parts.retain(|p| !p.is_empty());
-        parts
-    }
-
-    /// Dirty-part tracking for incremental re-partitioning: given per-node
-    /// dirty flags (global node ids, `true` for nodes whose tuple was
-    /// inserted, updated, or sits adjacent to a deletion), returns one flag
-    /// per **non-empty** part — aligned with the part order of
-    /// [`parts`](Partition::parts) / [`component_parts`](Partition::component_parts)
-    /// — saying whether the part contains any dirty node. Clean parts are
-    /// the ones whose cached sub-problem solutions an incremental
-    /// re-explanation can expect to reuse verbatim (the solution cache
-    /// itself re-verifies via content hashing, so this flag is a tracking /
-    /// diagnostic signal, not a correctness gate). Nodes beyond
-    /// `dirty_nodes.len()` count as clean.
-    pub fn dirty_parts(&self, dirty_nodes: &[bool]) -> Vec<bool> {
-        let mut dirty = vec![false; self.k];
-        let mut occupied = vec![false; self.k];
-        for (node, &p) in self.assignment.iter().enumerate() {
-            occupied[p] = true;
-            if dirty_nodes.get(node).copied().unwrap_or(false) {
-                dirty[p] = true;
-            }
-        }
-        dirty.into_iter().zip(occupied).filter_map(|(d, occ)| occ.then_some(d)).collect()
-    }
 }
 
 #[cfg(test)]

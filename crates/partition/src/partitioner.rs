@@ -1,47 +1,12 @@
-//! A size-bounded graph partitioner in the multilevel style of METIS:
-//! greedy graph growing for the initial assignment, a first-fit-decreasing
-//! batch-packing pass that merges under-full parts, then
-//! Fiduccia–Mattheyses-style boundary refinement — all respecting a maximum
-//! part size (the paper's balancing constraint `|T1,i| + |T2,j| ≤ L_max`).
+//! A size-bounded graph partitioner: greedy graph growing under a maximum
+//! part weight (the paper's balancing constraint `|T1,i| + |T2,j| ≤ L_max`).
 //!
-//! Graph growing alone opens one part per seed, so a graph with many small
-//! connected components produces many small parts (one per component: the
-//! grower's frontier never crosses components, and FM refinement only moves
-//! nodes with positive gain, which disconnected nodes never have). The
-//! packing pass ([`crate::packing`]) closes that gap: grown parts are bins
-//! packed to `L_max`, so the part count lands near `⌈total / L_max⌉`
-//! instead of near the component count.
-//!
-//! The partitioner operates on a generic weighted graph (node weights +
-//! weighted undirected edges); the smart-partitioning driver feeds it the
-//! coarse graph produced by [`pre_partition`](crate::prepartition::pre_partition),
-//! which plays the role of the coarsening phase of a multilevel scheme.
-
-use crate::packing::pack_first_fit_decreasing;
-
-/// Configuration of the partitioner.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PartitionerConfig {
-    /// Target number of parts `k` (more parts may be opened if the size
-    /// bound makes `k` infeasible).
-    pub k: usize,
-    /// Maximum total node weight per part (`L_max`).
-    pub max_part_weight: usize,
-    /// Number of refinement sweeps.
-    pub refinement_passes: usize,
-}
-
-impl PartitionerConfig {
-    /// Creates a configuration with the given `k` and `L_max` and two
-    /// refinement passes.
-    pub fn new(k: usize, max_part_weight: usize) -> Self {
-        PartitionerConfig {
-            k: k.max(1),
-            max_part_weight: max_part_weight.max(1),
-            refinement_passes: 2,
-        }
-    }
-}
+//! It operates on a generic weighted graph (node weights + weighted
+//! undirected edges). The smart-partitioning splitter feeds it the coarse
+//! graph of one oversized connected component, produced by
+//! [`pre_partition`](crate::prepartition::pre_partition), which plays the
+//! role of the coarsening phase of a multilevel scheme. Every grown part is
+//! connected: a part only absorbs neighbours of nodes it already holds.
 
 /// Result of partitioning a weighted graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,24 +18,26 @@ pub struct WeightedPartition {
     /// Total weight of cut edges.
     pub edge_cut: f64,
     /// Parts whose weight exceeds `max_part_weight` because they hold a
-    /// single node heavier than the bound. No packing or refinement can fix
-    /// those within the constraint, so they are flagged instead of hidden.
+    /// single node heavier than the bound. Nothing can fix those within the
+    /// constraint, so they are flagged instead of hidden.
     pub oversized_parts: Vec<usize>,
 }
 
-/// Partitions a weighted graph.
+/// Partitions a weighted graph into connected parts of total node weight at
+/// most `max_part_weight` (`L_max`).
 ///
 /// * `node_weights[i]` is the weight of node `i` (e.g. how many original
 ///   tuples a coarse node represents);
 /// * `edges` are undirected `(a, b, weight)` triples;
-/// * the result respects `config.max_part_weight` except for single nodes
-///   that are heavier than the bound, which get a part of their own.
+/// * the result respects `max_part_weight` except for single nodes that are
+///   heavier than the bound, which get a part of their own.
 pub fn partition_weighted(
     node_weights: &[usize],
     edges: &[(usize, usize, f64)],
-    config: &PartitionerConfig,
+    max_part_weight: usize,
 ) -> WeightedPartition {
     let n = node_weights.len();
+    let max_part_weight = max_part_weight.max(1);
     if n == 0 {
         return WeightedPartition {
             assignment: vec![],
@@ -79,16 +46,12 @@ pub fn partition_weighted(
             oversized_parts: vec![],
         };
     }
-    let total_weight: usize = node_weights.iter().sum();
-    if total_weight <= config.max_part_weight || config.k <= 1 {
-        // A single part: only over the bound when the caller forced k = 1 on
-        // an overweight graph, in which case the violation is flagged.
-        let oversized = if total_weight > config.max_part_weight { vec![0] } else { vec![] };
+    if node_weights.iter().sum::<usize>() <= max_part_weight {
         return WeightedPartition {
             assignment: vec![0; n],
             num_parts: 1,
             edge_cut: 0.0,
-            oversized_parts: oversized,
+            oversized_parts: vec![],
         };
     }
 
@@ -113,12 +76,9 @@ pub fn partition_weighted(
     let mut part_weights: Vec<usize> = Vec::new();
 
     // Connection strength of each unassigned node to the growing part.
-    // One buffer for all parts: a graph with many small components opens
-    // one part per component, and a fresh `vec![0.0; n]` per part would
-    // make growing quadratic in the component count (tens of ms on a
-    // 10k-singleton mapping graph — the regime incremental re-explanation
-    // re-partitions in). Entries touched while growing a part are recorded
-    // and reset before the next seed, which is behaviourally identical.
+    // One buffer for all parts: a fresh `vec![0.0; n]` per part would make
+    // growing quadratic in the part count. Entries touched while growing a
+    // part are recorded and reset before the next seed.
     let mut gain: Vec<f64> = vec![0.0; n];
     let mut touched: Vec<usize> = Vec::new();
 
@@ -139,13 +99,13 @@ pub fn partition_weighted(
                 continue;
             }
             let w = node_weights[next];
-            let fits = part_weights[part] + w <= config.max_part_weight || part_weights[part] == 0; // oversized singletons get their own part
+            let fits = part_weights[part] + w <= max_part_weight || part_weights[part] == 0; // oversized singletons get their own part
             if !fits {
                 continue;
             }
             assignment[next] = part;
             part_weights[part] += w;
-            if part_weights[part] >= config.max_part_weight {
+            if part_weights[part] >= max_part_weight {
                 break;
             }
             for &(nbr, ew) in &adj[next] {
@@ -163,87 +123,17 @@ pub fn partition_weighted(
         }
         touched.clear();
     }
-    // ---- Batch packing ----
-    // Growing opens one part per seed, so disconnected graphs come out of
-    // the loop above with one (possibly tiny) part per component. Pack the
-    // grown parts into bins of capacity `L_max` with first-fit decreasing;
-    // a grown part can only exceed the bound when it is a single oversized
-    // node, which the packer isolates and flags.
-    let packing = pack_first_fit_decreasing(&part_weights, config.max_part_weight);
-    for a in assignment.iter_mut() {
-        *a = packing.bin_of[*a];
-    }
-    let mut part_weights = packing.bin_weights;
-    let mut oversized_parts = packing.oversized_bins;
-    let mut num_parts = part_weights.len();
 
-    // ---- FM-style boundary refinement ----
-    // Like the growing phase, the per-part connection buffer is allocated
-    // once and reset via the node's own adjacency after each use.
-    let mut conn: Vec<f64> = vec![0.0; num_parts];
-    for _ in 0..config.refinement_passes {
-        let mut moved_any = false;
-        for node in 0..n {
-            let current = assignment[node];
-            // Connection weight from `node` to each part.
-            for &(nbr, w) in &adj[node] {
-                conn[assignment[nbr]] += w;
-            }
-            let mut best_part = current;
-            let mut best_gain = 0.0f64;
-            for p in 0..num_parts {
-                if p == current {
-                    continue;
-                }
-                if part_weights[p] + node_weights[node] > config.max_part_weight {
-                    continue;
-                }
-                let gain = conn[p] - conn[current];
-                if gain > best_gain + 1e-12 {
-                    best_gain = gain;
-                    best_part = p;
-                }
-            }
-            if best_part != current {
-                part_weights[current] -= node_weights[node];
-                part_weights[best_part] += node_weights[node];
-                assignment[node] = best_part;
-                moved_any = true;
-            }
-            // Reset only the entries this node touched (neighbour
-            // assignments are unchanged within the node's processing).
-            for &(nbr, _) in &adj[node] {
-                conn[assignment[nbr]] = 0.0;
-            }
-        }
-        if !moved_any {
-            break;
-        }
-    }
-
-    // Compact part ids (refinement can empty a part). Oversized parts are
-    // never emptied — their single node cannot move within the bound — so
-    // their remapped ids are always defined.
-    let mut remap = vec![usize::MAX; num_parts];
-    let mut next = 0usize;
-    for a in assignment.iter_mut() {
-        if remap[*a] == usize::MAX {
-            remap[*a] = next;
-            next += 1;
-        }
-        *a = remap[*a];
-    }
-    num_parts = next;
-    let mut oversized_parts: Vec<usize> = oversized_parts.drain(..).map(|p| remap[p]).collect();
-    oversized_parts.sort_unstable();
-
+    // A part can only exceed the bound when its seed alone does.
+    let oversized_parts =
+        (0..part_weights.len()).filter(|&p| part_weights[p] > max_part_weight).collect();
     let edge_cut = edges
         .iter()
         .filter(|&&(a, b, _)| a < n && b < n && assignment[a] != assignment[b])
         .map(|&(_, _, w)| w)
         .sum();
 
-    WeightedPartition { assignment, num_parts, edge_cut, oversized_parts }
+    WeightedPartition { assignment, num_parts: part_weights.len(), edge_cut, oversized_parts }
 }
 
 /// Picks the frontier node with the highest gain (ties by lowest index).
@@ -263,7 +153,7 @@ mod tests {
     fn small_graph_fits_in_one_part() {
         let weights = vec![1, 1, 1];
         let edges = vec![(0, 1, 1.0), (1, 2, 1.0)];
-        let p = partition_weighted(&weights, &edges, &PartitionerConfig::new(4, 10));
+        let p = partition_weighted(&weights, &edges, 10);
         assert_eq!(p.num_parts, 1);
         assert_eq!(p.edge_cut, 0.0);
     }
@@ -281,7 +171,7 @@ mod tests {
             (3, 5, 5.0),
             (2, 3, 0.1), // bridge
         ];
-        let p = partition_weighted(&weights, &edges, &PartitionerConfig::new(2, 3));
+        let p = partition_weighted(&weights, &edges, 3);
         assert!(p.num_parts >= 2);
         // The bridge should be the only cut edge.
         assert!((p.edge_cut - 0.1).abs() < 1e-9, "edge cut was {}", p.edge_cut);
@@ -302,12 +192,11 @@ mod tests {
         // NaN a fixed rank, so the assignment is reproducible.
         let weights = vec![1; 6];
         let edges = vec![(0, 1, f64::NAN), (1, 2, 1.0), (3, 4, 1.0), (4, 5, f64::NAN)];
-        let cfg = PartitionerConfig::new(3, 2);
-        let first = partition_weighted(&weights, &edges, &cfg);
+        let first = partition_weighted(&weights, &edges, 2);
         assert_eq!(first.assignment.len(), 6);
         for _ in 0..5 {
             // Compare assignments only: the edge cut itself is NaN-poisoned.
-            assert_eq!(partition_weighted(&weights, &edges, &cfg).assignment, first.assignment);
+            assert_eq!(partition_weighted(&weights, &edges, 2).assignment, first.assignment);
         }
     }
 
@@ -315,8 +204,7 @@ mod tests {
     fn size_bound_is_respected() {
         let weights = vec![1; 10];
         let edges: Vec<(usize, usize, f64)> = (0..9).map(|i| (i, i + 1, 1.0)).collect();
-        let cfg = PartitionerConfig::new(4, 3);
-        let p = partition_weighted(&weights, &edges, &cfg);
+        let p = partition_weighted(&weights, &edges, 3);
         let mut sizes = vec![0usize; p.num_parts];
         for (i, &a) in p.assignment.iter().enumerate() {
             sizes[a] += weights[i];
@@ -329,8 +217,7 @@ mod tests {
     fn oversized_single_node_gets_its_own_part() {
         let weights = vec![10, 1, 1];
         let edges = vec![(0, 1, 1.0), (1, 2, 1.0)];
-        let cfg = PartitionerConfig::new(2, 4);
-        let p = partition_weighted(&weights, &edges, &cfg);
+        let p = partition_weighted(&weights, &edges, 4);
         // Node 0 exceeds the bound on its own; it must be alone in its part.
         let part0 = p.assignment[0];
         assert!(p.assignment.iter().enumerate().filter(|&(i, _)| i != 0).all(|(_, &a)| a != part0));
@@ -338,11 +225,11 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_graphs() {
-        let p = partition_weighted(&[], &[], &PartitionerConfig::new(3, 5));
+        let p = partition_weighted(&[], &[], 5);
         assert_eq!(p.num_parts, 0);
         assert!(p.assignment.is_empty());
 
-        let p = partition_weighted(&[2], &[], &PartitionerConfig::new(3, 5));
+        let p = partition_weighted(&[2], &[], 5);
         assert_eq!(p.num_parts, 1);
         assert_eq!(p.assignment, vec![0]);
     }
@@ -351,8 +238,7 @@ mod tests {
     fn disconnected_nodes_are_all_assigned() {
         let weights = vec![1; 7];
         let edges = vec![(0, 1, 1.0)];
-        let cfg = PartitionerConfig::new(3, 3);
-        let p = partition_weighted(&weights, &edges, &cfg);
+        let p = partition_weighted(&weights, &edges, 3);
         assert_eq!(p.assignment.len(), 7);
         let mut sizes = vec![0usize; p.num_parts];
         for &a in &p.assignment {
@@ -363,72 +249,18 @@ mod tests {
     }
 
     #[test]
-    fn many_small_components_pack_to_the_target_part_count() {
-        // 40 isolated 2-node components (a pathological pre-packing case:
-        // the grower alone would emit 40 parts). With L_max = 10 the packer
-        // must land on k = ⌈80/10⌉ = 8 full parts.
-        let weights = vec![1; 80];
-        let edges: Vec<(usize, usize, f64)> = (0..40).map(|c| (2 * c, 2 * c + 1, 5.0)).collect();
-        let cfg = PartitionerConfig::new(8, 10);
-        let p = partition_weighted(&weights, &edges, &cfg);
-        assert_eq!(p.num_parts, 8, "packing should hit k exactly");
-        assert!(p.oversized_parts.is_empty());
-        let mut sizes = vec![0usize; p.num_parts];
-        for &a in &p.assignment {
-            sizes[a] += 1;
-        }
-        assert!(sizes.iter().all(|&s| s <= 10));
-        // Components are never split by packing: both halves stay together.
-        for c in 0..40 {
-            assert_eq!(p.assignment[2 * c], p.assignment[2 * c + 1], "component {c} split");
-        }
-        // Zero edges are cut: packing merges whole parts.
-        assert_eq!(p.edge_cut, 0.0);
-    }
-
-    #[test]
-    fn packed_parts_are_pairwise_unmergeable() {
-        // Mixed component sizes; after packing, no two non-oversized parts
-        // may fit in one bin together (the FFD structural guarantee).
-        let weights = vec![1; 23];
-        let mut edges = Vec::new();
-        let mut next = 0usize;
-        for size in [5usize, 4, 4, 3, 3, 2, 1, 1] {
-            for i in 1..size {
-                edges.push((next + i - 1, next + i, 2.0));
-            }
-            next += size;
-        }
-        let cap = 7;
-        let p = partition_weighted(&weights, &edges, &PartitionerConfig::new(4, cap));
-        let mut sizes = vec![0usize; p.num_parts];
-        for &a in &p.assignment {
-            sizes[a] += 1;
-        }
-        for a in 0..p.num_parts {
-            for b in a + 1..p.num_parts {
-                assert!(sizes[a] + sizes[b] > cap, "parts {a} and {b} could merge: {sizes:?}");
-            }
-        }
-    }
-
-    #[test]
     fn oversized_parts_are_reported() {
         let weights = vec![10, 1, 1, 1];
         let edges = vec![(1, 2, 1.0)];
-        let p = partition_weighted(&weights, &edges, &PartitionerConfig::new(2, 4));
+        let p = partition_weighted(&weights, &edges, 4);
         assert_eq!(p.oversized_parts.len(), 1);
         let oversized = p.oversized_parts[0];
         assert_eq!(p.assignment[0], oversized);
         assert!((1..4).all(|i| p.assignment[i] != oversized));
-        // Forcing k = 1 on an overweight graph flags the single part too.
-        let p = partition_weighted(&weights, &edges, &PartitionerConfig::new(1, 4));
-        assert_eq!(p.num_parts, 1);
-        assert_eq!(p.oversized_parts, vec![0]);
     }
 
     #[test]
-    fn refinement_reduces_cut_on_a_chain() {
+    fn growing_cuts_only_weak_links_on_a_chain() {
         // A chain with strongly-coupled pairs; a good partition cuts only
         // weak links.
         let weights = vec![1; 8];
@@ -439,8 +271,7 @@ mod tests {
         for i in (1..7).step_by(2) {
             edges.push((i, i + 1, 0.5));
         }
-        let cfg = PartitionerConfig::new(4, 2);
-        let p = partition_weighted(&weights, &edges, &cfg);
+        let p = partition_weighted(&weights, &edges, 2);
         // Strong pairs must never be separated.
         for i in (0..8).step_by(2) {
             assert_eq!(p.assignment[i], p.assignment[i + 1], "pair {i} split");

@@ -1,18 +1,15 @@
-//! Smart partitioning (Algorithm 3): pre-partition, partition the coarse
-//! graph with batch packing, then project the assignment back onto the
-//! original tuples.
+//! Smart partitioning (Algorithm 3), one connected component at a time.
 //!
-//! The partitioner packs connected components into
-//! `k = ⌈(|T1| + |T2|) / batch⌉` parts (merging small components with
-//! first-fit-decreasing bin packing, splitting oversized ones along
-//! low-weight edges); [`smart_partition_packed`] additionally reports how
-//! the packing went — the target part count, how many components had to be
-//! split, and which parts exceed the batch bound because a single
-//! high-probability cluster is larger than the batch itself.
+//! Stage 2's objective decomposes over the connected components of the
+//! mapping graph, so every component within the batch bound is a part of
+//! its own. Only a component larger than the batch goes to the splitter:
+//! pre-partition it (Algorithm 2), grow size-bounded parts over its coarse
+//! graph, and project the assignment back onto its tuples. Parts come out
+//! in component order (by smallest global node id), so a component's parts
+//! depend on its own tuples and edges alone.
 
-use crate::dsu::DisjointSet;
 use crate::graph::{Component, MappingGraph, Partition};
-use crate::partitioner::{partition_weighted, PartitionerConfig};
+use crate::partitioner::partition_weighted;
 use crate::prepartition::pre_partition;
 use crate::weights::WeightScheme;
 
@@ -21,27 +18,15 @@ use crate::weights::WeightScheme;
 pub struct SmartPartitionConfig {
     /// Edge re-weighting scheme (`θ_l`, `θ_h`, `R`).
     pub scheme: WeightScheme,
-    /// Target batch size: the number of partitions is
-    /// `k = ⌈(|T1| + |T2|) / batch_size⌉` and `L_max = batch_size`,
-    /// matching the paper's synthetic-data experiments.
+    /// Batch bound `L_max`: the most tuples a part may hold, unless it is
+    /// one high-probability cluster larger than the batch.
     pub batch_size: usize,
-    /// Number of FM refinement passes in the partitioner.
-    pub refinement_passes: usize,
 }
 
 impl SmartPartitionConfig {
     /// Creates a configuration with the paper's default weight scheme.
     pub fn with_batch_size(batch_size: usize) -> Self {
-        SmartPartitionConfig {
-            scheme: WeightScheme::default(),
-            batch_size: batch_size.max(1),
-            refinement_passes: 2,
-        }
-    }
-
-    /// The number of partitions for a graph with `node_count` tuples.
-    pub fn num_partitions(&self, node_count: usize) -> usize {
-        node_count.div_ceil(self.batch_size).max(1)
+        SmartPartitionConfig { scheme: WeightScheme::default(), batch_size: batch_size.max(1) }
     }
 }
 
@@ -51,120 +36,106 @@ impl Default for SmartPartitionConfig {
     }
 }
 
-/// A node partition plus the packing diagnostics of the run that built it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedPartition {
-    /// The node partition.
-    pub partition: Partition,
-    /// The target part count `k = ⌈nodes / batch⌉` of the run.
-    pub target_parts: usize,
-    /// Number of connected components of the (coarse) mapping graph that
-    /// were split across parts because they exceeded the batch bound. Every
-    /// split cuts only re-weighted (low-weight) edges; high-probability
-    /// clusters are contracted before partitioning and never split.
+/// The parts of a smart partition plus what the splitter had to do.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SmartPartition {
+    /// The parts in component order, each with its tuples and its own
+    /// edges. A part is one connected component: a whole component within
+    /// the batch, or a piece of a split one (pieces are connected because
+    /// greedy growing only absorbs neighbours of what a part already holds).
+    pub parts: Vec<Component>,
+    /// Connected components larger than the batch that were split across
+    /// parts. Every split cuts only re-weighted (low-weight) edges;
+    /// high-probability clusters are contracted before splitting and never
+    /// cut.
     pub split_components: usize,
     /// Parts whose size exceeds the batch bound. This happens only when a
     /// single contracted high-probability cluster is itself larger than the
-    /// batch — such a cluster must not be cut, so it gets a flagged part of
+    /// batch: such a cluster must not be cut, so it gets a flagged part of
     /// its own instead of a silent constraint violation.
     pub oversized_parts: Vec<usize>,
 }
 
-impl PackedPartition {
-    /// Packs an `n`-node graph into one unflagged part (small-graph case).
-    fn single(n: usize) -> Self {
-        PackedPartition {
-            partition: Partition::single(n),
-            target_parts: 1,
-            split_components: 0,
-            oversized_parts: vec![],
+impl SmartPartition {
+    /// The node → part assignment over `graph`'s global node ids (the graph
+    /// this partition was computed on).
+    pub fn partition(&self, graph: &MappingGraph) -> Partition {
+        let mut assignment = vec![0usize; graph.node_count()];
+        for (p, part) in self.parts.iter().enumerate() {
+            for &i in &part.left {
+                assignment[graph.left_id(i)] = p;
+            }
+            for &j in &part.right {
+                assignment[graph.right_id(j)] = p;
+            }
         }
-    }
-
-    /// The packed parts, each split into its connected components (see
-    /// [`Partition::component_parts`]). This is the shape the Stage-2
-    /// work-stealing scheduler consumes: a packed part holds several
-    /// independent components by construction, and scheduling them
-    /// individually keeps one huge component from serialising the phase.
-    pub fn component_parts(&self, graph: &MappingGraph) -> Vec<Vec<Component>> {
-        self.partition.component_parts(graph)
-    }
-
-    /// Dirty-part tracking (see [`Partition::dirty_parts`]): flags, per
-    /// non-empty part, whether the part contains any delta-touched node.
-    pub fn dirty_parts(&self, dirty_nodes: &[bool]) -> Vec<bool> {
-        self.partition.dirty_parts(dirty_nodes)
+        Partition::new(assignment, self.parts.len())
     }
 }
 
-/// Runs Algorithm 3 on the mapping graph, returning a node partition.
-///
-/// Equivalent to [`smart_partition_packed`] with the diagnostics dropped.
-pub fn smart_partition(graph: &MappingGraph, config: &SmartPartitionConfig) -> Partition {
-    smart_partition_packed(graph, config).partition
+/// Runs Algorithm 3 on the mapping graph: one part per connected component
+/// within `config.batch_size`, and the splitter on each larger component.
+pub fn smart_partition(graph: &MappingGraph, config: &SmartPartitionConfig) -> SmartPartition {
+    let mut out = SmartPartition::default();
+    for component in graph.connected_components() {
+        if component.size() <= config.batch_size {
+            out.parts.push(component);
+            continue;
+        }
+        let (pieces, oversized) = split_component(graph, &component, config);
+        if pieces.len() > 1 {
+            out.split_components += 1;
+        }
+        out.oversized_parts.extend(oversized.into_iter().map(|p| out.parts.len() + p));
+        out.parts.extend(pieces);
+    }
+    out
 }
 
-/// Runs Algorithm 3 on the mapping graph, returning the partition together
-/// with its packing diagnostics (target part count, component splits,
-/// oversized parts).
-pub fn smart_partition_packed(
+/// Splits one oversized component: pre-partition (Algorithm 2) its local
+/// copy of the graph, grow parts of at most `batch_size` tuples over the
+/// coarse graph, and project them back (Algorithm 3, lines 1–6). Returns
+/// the pieces in global coordinates plus the indexes of the pieces that
+/// are one cluster larger than the batch.
+fn split_component(
     graph: &MappingGraph,
+    component: &Component,
     config: &SmartPartitionConfig,
-) -> PackedPartition {
-    let n = graph.node_count();
-    if n == 0 {
-        return PackedPartition {
-            partition: Partition::new(vec![], 1),
-            target_parts: 1,
-            split_components: 0,
-            oversized_parts: vec![],
-        };
-    }
-    if n <= config.batch_size {
-        return PackedPartition::single(n);
-    }
-
-    // Line 1: pre-partition (Algorithm 2) to obtain the coarse graph.
-    let coarse = pre_partition(graph, &config.scheme);
-
-    // Line 2: partition the coarse graph with the packing partitioner.
-    let k = config.num_partitions(n);
-    let mut part_cfg = PartitionerConfig::new(k, config.batch_size);
-    part_cfg.refinement_passes = config.refinement_passes;
-    let weighted = partition_weighted(&coarse.node_weights(), &coarse.edges, &part_cfg);
-
-    // Lines 3-6: project cluster assignments back onto the original tuples.
-    let mut assignment = vec![0usize; n];
-    for (node_id, &cluster) in coarse.cluster_of.iter().enumerate() {
-        assignment[node_id] = weighted.assignment[cluster];
+) -> (Vec<Component>, Vec<usize>) {
+    // Local ids are positions in the component's sorted tuple lists, and
+    // local edges follow its ascending edge list, so mapping back
+    // preserves global order.
+    let local_id =
+        |ids: &[usize], id: usize| ids.binary_search(&id).expect("edge inside component");
+    let mut local = MappingGraph::new(component.left.len(), component.right.len());
+    for &e in &component.edges {
+        let edge = graph.edges()[e];
+        local.add_edge(
+            local_id(&component.left, edge.left),
+            local_id(&component.right, edge.right),
+            edge.weight,
+        );
     }
 
-    // Diagnostics: a coarse component is "split" when its clusters span
-    // more than one part (that happens exactly when the component exceeded
-    // the batch bound and was divided along its low-weight edges).
-    let mut dsu = DisjointSet::new(coarse.len());
-    for &(a, b, _) in &coarse.edges {
-        dsu.union(a, b);
-    }
-    let mut split_components = 0usize;
-    for component in dsu.groups() {
-        let first = weighted.assignment[component[0]];
-        if component.iter().any(|&c| weighted.assignment[c] != first) {
-            split_components += 1;
-        }
-    }
-
-    PackedPartition {
-        partition: Partition::new(assignment, weighted.num_parts.max(1)),
-        target_parts: k,
-        split_components,
-        oversized_parts: weighted.oversized_parts,
-    }
+    let coarse = pre_partition(&local, &config.scheme);
+    let weighted = partition_weighted(&coarse.node_weights(), &coarse.edges, config.batch_size);
+    let assignment = coarse.cluster_of.iter().map(|&c| weighted.assignment[c]).collect();
+    let pieces = Partition::new(assignment, weighted.num_parts)
+        .parts(&local)
+        .into_iter()
+        .map(|piece| Component {
+            left: piece.left.iter().map(|&k| component.left[k]).collect(),
+            right: piece.right.iter().map(|&k| component.right[k]).collect(),
+            edges: piece.edges.iter().map(|&k| component.edges[k]).collect(),
+        })
+        .collect();
+    (pieces, weighted.oversized_parts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dsu::DisjointSet;
 
     /// A graph of `pairs` (left, right) couples joined by 0.95-probability
     /// matches, with consecutive couples linked by weak 0.2 matches.
@@ -183,7 +154,7 @@ mod tests {
     fn small_graphs_stay_whole() {
         let g = chained_pairs(5);
         let cfg = SmartPartitionConfig::with_batch_size(100);
-        let p = smart_partition(&g, &cfg);
+        let p = smart_partition(&g, &cfg).partition(&g);
         assert_eq!(p.num_parts(), 1);
         assert_eq!(g.edge_cut(&p), 0.0);
     }
@@ -192,7 +163,7 @@ mod tests {
     fn high_probability_matches_are_never_cut() {
         let g = chained_pairs(50);
         let cfg = SmartPartitionConfig::with_batch_size(10);
-        let p = smart_partition(&g, &cfg);
+        let p = smart_partition(&g, &cfg).partition(&g);
         assert!(p.num_parts() > 1);
         for e in g.edges() {
             if e.weight >= 0.9 {
@@ -211,7 +182,7 @@ mod tests {
     fn partition_sizes_respect_the_batch_bound() {
         let g = chained_pairs(60);
         let cfg = SmartPartitionConfig::with_batch_size(16);
-        let p = smart_partition(&g, &cfg);
+        let p = smart_partition(&g, &cfg).partition(&g);
         assert!(p.max_part_size() <= 16, "max part size {}", p.max_part_size());
         // Every node is assigned.
         assert_eq!(p.assignment().len(), g.node_count());
@@ -219,20 +190,36 @@ mod tests {
 
     #[test]
     fn number_of_partitions_tracks_batch_size() {
-        let cfg = SmartPartitionConfig::with_batch_size(1000);
-        assert_eq!(cfg.num_partitions(100), 1);
-        assert_eq!(cfg.num_partitions(1000), 1);
-        assert_eq!(cfg.num_partitions(1001), 2);
-        assert_eq!(cfg.num_partitions(10_000), 10);
-        let small = SmartPartitionConfig::with_batch_size(100);
-        assert_eq!(small.num_partitions(10_000), 100);
+        // Two 20-node chains: one part each while they fit the batch, more
+        // parts as the batch shrinks below them.
+        let mut g = MappingGraph::new(20, 20);
+        for offset in [0, 10] {
+            for i in offset..offset + 10 {
+                g.add_edge(i, i, 0.95);
+                if i + 1 < offset + 10 {
+                    g.add_edge(i, i + 1, 0.2);
+                }
+            }
+        }
+        let parts = |batch| smart_partition(&g, &SmartPartitionConfig::with_batch_size(batch));
+        assert_eq!(parts(1000).parts.len(), 2);
+        assert_eq!(parts(20).parts.len(), 2);
+        assert_eq!(parts(20).split_components, 0);
+        let mut previous = 2;
+        for batch in [16, 10, 6, 4, 2] {
+            let p = parts(batch);
+            assert_eq!(p.split_components, 2, "batch {batch}");
+            assert!(p.parts.len() >= 40usize.div_ceil(batch), "batch {batch}");
+            assert!(p.parts.len() >= previous, "batch {batch}");
+            previous = p.parts.len();
+        }
     }
 
     #[test]
     fn cut_prefers_weak_edges() {
         let g = chained_pairs(40);
         let cfg = SmartPartitionConfig::with_batch_size(20);
-        let p = smart_partition(&g, &cfg);
+        let p = smart_partition(&g, &cfg).partition(&g);
         // The cut should consist only of the weak 0.2 chain links, so it is
         // bounded by 0.2 times the number of parts.
         let cut = g.edge_cut(&p);
@@ -242,37 +229,22 @@ mod tests {
     #[test]
     fn empty_graph_is_handled() {
         let g = MappingGraph::new(0, 0);
-        let p = smart_partition(&g, &SmartPartitionConfig::default());
+        let p = smart_partition(&g, &SmartPartitionConfig::default()).partition(&g);
         assert_eq!(p.assignment().len(), 0);
     }
 
-    /// `pairs` disconnected high-probability couples: the pre-packing
-    /// partitioner emitted one part per couple; packing must hit `k`.
-    fn isolated_pairs(pairs: usize) -> MappingGraph {
-        let mut g = MappingGraph::new(pairs, pairs);
-        for i in 0..pairs {
+    #[test]
+    fn each_component_within_the_batch_is_its_own_part() {
+        // 120 disconnected couples plus one isolated right tuple.
+        let mut g = MappingGraph::new(120, 121);
+        for i in 0..120 {
             g.add_edge(i, i, 0.95);
         }
-        g
-    }
-
-    #[test]
-    fn disconnected_components_pack_to_the_target_part_count() {
-        let g = isolated_pairs(120); // 240 nodes in 120 two-node components
-        let cfg = SmartPartitionConfig::with_batch_size(60);
-        let packed = smart_partition_packed(&g, &cfg);
-        assert_eq!(packed.target_parts, 4);
-        assert_eq!(packed.partition.num_parts(), 4, "240 nodes / batch 60 must pack to 4 parts");
-        assert_eq!(packed.split_components, 0);
-        assert!(packed.oversized_parts.is_empty());
-        assert_eq!(packed.partition.max_part_size(), 60);
-        // No couple is separated by packing.
-        for i in 0..120 {
-            assert_eq!(
-                packed.partition.part_of(g.left_id(i)),
-                packed.partition.part_of(g.right_id(i))
-            );
-        }
+        let split = smart_partition(&g, &SmartPartitionConfig::with_batch_size(60));
+        assert_eq!(split.parts.len(), 121);
+        assert_eq!(split.split_components, 0);
+        assert!(split.oversized_parts.is_empty());
+        assert_eq!(split.parts, g.connected_components());
     }
 
     #[test]
@@ -286,16 +258,17 @@ mod tests {
         }
         g.add_edge(7, 7, 0.95); // a separate small couple
         let cfg = SmartPartitionConfig::with_batch_size(8);
-        let packed = smart_partition_packed(&g, &cfg);
-        assert_eq!(packed.oversized_parts.len(), 1, "the 13-node cluster must be flagged");
-        let oversized = packed.oversized_parts[0];
+        let split = smart_partition(&g, &cfg);
+        assert_eq!(split.oversized_parts.len(), 1, "the 13-node cluster must be flagged");
+        let oversized = split.oversized_parts[0];
+        let partition = split.partition(&g);
         // The oversized part contains the whole cluster (never cut) ...
         for i in 0..7 {
-            assert_eq!(packed.partition.part_of(g.left_id(i)), oversized);
+            assert_eq!(partition.part_of(g.left_id(i)), oversized);
         }
         // ... and nothing else.
-        assert_ne!(packed.partition.part_of(g.left_id(7)), oversized);
-        assert_eq!(packed.split_components, 0);
+        assert_ne!(partition.part_of(g.left_id(7)), oversized);
+        assert_eq!(split.split_components, 0);
     }
 
     #[test]
@@ -304,108 +277,49 @@ mod tests {
         // parts of at most 16, counted as a single split component.
         let g = chained_pairs(30);
         let cfg = SmartPartitionConfig::with_batch_size(16);
-        let packed = smart_partition_packed(&g, &cfg);
-        assert_eq!(packed.split_components, 1);
-        assert!(packed.oversized_parts.is_empty());
-        assert!(packed.partition.max_part_size() <= 16);
-        assert!(
-            packed.partition.num_parts() <= packed.target_parts + packed.split_components,
-            "{} parts for target {} + {} splits",
-            packed.partition.num_parts(),
-            packed.target_parts,
-            packed.split_components
-        );
+        let split = smart_partition(&g, &cfg);
+        assert_eq!(split.split_components, 1);
+        assert!(split.oversized_parts.is_empty());
+        let partition = split.partition(&g);
+        assert!(partition.max_part_size() <= 16);
+        assert!(partition.num_parts() >= 4, "60 nodes need at least 4 parts of 16");
     }
 
     #[test]
-    fn component_parts_refine_parts_exactly() {
+    fn split_pieces_are_connected_and_tile_the_component() {
         let g = chained_pairs(40);
-        let cfg = SmartPartitionConfig::with_batch_size(20);
-        let packed = smart_partition_packed(&g, &cfg);
-        let parts = packed.partition.parts(&g);
-        let comp_parts = packed.component_parts(&g);
-        assert_eq!(parts.len(), comp_parts.len());
-        for (part, comps) in parts.iter().zip(comp_parts.iter()) {
-            // The components of a part tile it exactly: same tuples, same
-            // intra-part edges, nothing shared.
-            let mut left: Vec<usize> = comps.iter().flat_map(|c| c.left.clone()).collect();
-            let mut right: Vec<usize> = comps.iter().flat_map(|c| c.right.clone()).collect();
-            let mut edges: Vec<usize> = comps.iter().flat_map(|c| c.edges.clone()).collect();
-            left.sort_unstable();
-            right.sort_unstable();
-            edges.sort_unstable();
-            let mut pl = part.left.clone();
-            let mut pr = part.right.clone();
-            let mut pe = part.edges.clone();
-            pl.sort_unstable();
-            pr.sort_unstable();
-            pe.sort_unstable();
-            assert_eq!(left, pl);
-            assert_eq!(right, pr);
-            assert_eq!(edges, pe);
-            // Every component is internally connected to itself only:
-            // its edges reference its own tuples.
-            for c in comps {
-                for &e in &c.edges {
-                    let edge = &g.edges()[e];
-                    assert!(c.left.contains(&edge.left));
-                    assert!(c.right.contains(&edge.right));
-                }
+        let split = smart_partition(&g, &SmartPartitionConfig::with_batch_size(20));
+        assert_eq!(split.split_components, 1);
+        for piece in &split.parts {
+            // A piece holds exactly the edges between its own tuples ...
+            let inner: Vec<usize> = (0..g.edge_count())
+                .filter(|&e| {
+                    let edge = g.edges()[e];
+                    piece.left.contains(&edge.left) && piece.right.contains(&edge.right)
+                })
+                .collect();
+            assert_eq!(piece.edges, inner);
+            // ... and they connect all of them.
+            let mut dsu = DisjointSet::new(g.node_count());
+            for &e in &piece.edges {
+                let edge = g.edges()[e];
+                dsu.union(g.left_id(edge.left), g.right_id(edge.right));
+            }
+            let root = dsu.find(g.left_id(piece.left[0]));
+            for &j in &piece.right {
+                assert_eq!(dsu.find(g.right_id(j)), root, "piece {piece:?} is not connected");
+            }
+            for &i in &piece.left {
+                assert_eq!(dsu.find(g.left_id(i)), root, "piece {piece:?} is not connected");
             }
         }
-    }
-
-    #[test]
-    fn dirty_parts_flag_exactly_the_touched_parts() {
-        let g = isolated_pairs(120); // 240 nodes packed into 4 parts of 60
-        let cfg = SmartPartitionConfig::with_batch_size(60);
-        let packed = smart_partition_packed(&g, &cfg);
-        assert_eq!(packed.partition.num_parts(), 4);
-
-        // No dirty nodes → every part is clean.
-        let clean = packed.dirty_parts(&vec![false; g.node_count()]);
-        assert_eq!(clean.len(), 4);
-        assert!(clean.iter().all(|&d| !d));
-
-        // Touch one couple: exactly its part goes dirty.
-        let mut dirty_nodes = vec![false; g.node_count()];
-        dirty_nodes[g.left_id(17)] = true;
-        let dirty = packed.dirty_parts(&dirty_nodes);
-        let expected = packed.partition.part_of(g.left_id(17));
-        for (p, &d) in dirty.iter().enumerate() {
-            assert_eq!(d, p == expected, "part {p}");
-        }
-
-        // A short flag vector treats the untracked tail as clean.
-        let short = packed.dirty_parts(&[true]);
-        assert_eq!(short.iter().filter(|&&d| d).count(), 1);
-
-        // Every part dirty when every node is.
-        let all = packed.dirty_parts(&vec![true; g.node_count()]);
-        assert!(all.iter().all(|&d| d));
-    }
-
-    #[test]
-    fn dirty_parts_align_with_nonempty_part_order() {
-        // Build a partition with an empty middle part: flags must align
-        // with the compacted order `parts()`/`component_parts()` emit.
-        let mut g = MappingGraph::new(2, 2);
-        g.add_edge(0, 0, 0.9);
-        g.add_edge(1, 1, 0.9);
-        let assignment = vec![0, 2, 0, 2]; // part 1 is empty
-        let p = Partition::new(assignment, 3);
-        let mut dirty_nodes = vec![false; 4];
-        dirty_nodes[1] = true; // left tuple 1 → part 2
-        let flags = p.dirty_parts(&dirty_nodes);
-        assert_eq!(flags.len(), p.parts(&g).len());
-        assert_eq!(flags, vec![false, true]);
-    }
-
-    #[test]
-    fn packed_and_plain_smart_partition_agree() {
-        let g = chained_pairs(40);
-        let cfg = SmartPartitionConfig::with_batch_size(20);
-        assert_eq!(smart_partition(&g, &cfg), smart_partition_packed(&g, &cfg).partition);
+        // Together the pieces hold every tuple exactly once.
+        let mut left: Vec<usize> = split.parts.iter().flat_map(|p| p.left.clone()).collect();
+        let mut right: Vec<usize> = split.parts.iter().flat_map(|p| p.right.clone()).collect();
+        left.sort_unstable();
+        right.sort_unstable();
+        assert_eq!(left, (0..g.left_count()).collect::<Vec<_>>());
+        assert_eq!(right, (0..g.right_count()).collect::<Vec<_>>());
     }
 
     #[test]

@@ -431,9 +431,7 @@ fn emit_stats(stats: &PipelineStats) -> Json {
             Json::obj()
                 .set("candidates_reused", stats.delta.candidates_reused)
                 .set("component_cache_hits", stats.delta.component_cache_hits)
-                .set("component_cache_misses", stats.delta.component_cache_misses)
-                .set("parts_reused", stats.delta.parts_reused)
-                .set("parts_dirty", stats.delta.parts_dirty),
+                .set("component_cache_misses", stats.delta.component_cache_misses),
         )
 }
 

@@ -149,14 +149,8 @@ fn cold_fingerprint(
 }
 
 /// All monotone counters of a `DeltaStats`, in a fixed order.
-fn counters(s: &explain3d::core::pipeline::DeltaStats) -> [usize; 5] {
-    [
-        s.candidates_reused,
-        s.component_cache_hits,
-        s.component_cache_misses,
-        s.parts_reused,
-        s.parts_dirty,
-    ]
+fn counters(s: &explain3d::core::pipeline::DeltaStats) -> [usize; 3] {
+    [s.candidates_reused, s.component_cache_hits, s.component_cache_misses]
 }
 
 /// One randomized seed: a session, a few random deltas, each checked

@@ -1,25 +1,21 @@
-//! Property tests pinning the batch-packing partitioner's invariants.
+//! Property tests pinning the smart partitioner's invariants.
 //!
-//! The packing rework of `smart_partition` (first-fit-decreasing packing of
-//! connected components, splitting of oversized components along low-weight
-//! edges) must uphold, for *every* input graph:
+//! `smart_partition` makes each connected component within the batch a
+//! part of its own and splits only larger components, along low-weight
+//! edges. For *every* input graph it must uphold:
 //!
 //! 1. **Exactly-one-part**: every node is assigned to exactly one part and
 //!    every part id is in range.
 //! 2. **Bound**: no part exceeds the batch bound — except parts flagged as
 //!    oversized, which hold a single contracted high-probability cluster
 //!    that is itself larger than the batch.
-//! 3. **Count**: the part count is bounded — `≤ target + splits` on
-//!    pack-friendly workloads (the bench shape), and never more than
-//!    `2·target + 1` in general (the first-fit guarantee: no two parts can
-//!    be merged within the bound, so at most one part is half-empty).
-//! 4. **Determinism**: re-running produces an identical assignment.
+//! 3. **Per component**: no part spans two connected components, and every
+//!    component within the batch is exactly one part.
+//! 4. **Determinism**: re-running produces an identical partition.
 //! 5. **Semantics**: high-probability matches are never cut.
 
 use explain3d::datagen::rng::{Rng, SeedableRng, StdRng};
-use explain3d::partition::{
-    smart_partition, smart_partition_packed, MappingGraph, PackedPartition, SmartPartitionConfig,
-};
+use explain3d::partition::{smart_partition, MappingGraph, SmartPartition, SmartPartitionConfig};
 
 /// A random bipartite mapping graph: `left`×`right` nodes, `edges` random
 /// matches with mixed probabilities (some high, some mid, some low).
@@ -39,10 +35,10 @@ fn random_graph(seed: u64, left: usize, right: usize, edges: usize) -> MappingGr
     g
 }
 
-/// Asserts all structural invariants of a packed partition on `g`.
-fn assert_invariants(g: &MappingGraph, cfg: &SmartPartitionConfig, packed: &PackedPartition) {
+/// Asserts all structural invariants of a smart partition on `g`.
+fn assert_invariants(g: &MappingGraph, cfg: &SmartPartitionConfig, split: &SmartPartition) {
     let n = g.node_count();
-    let partition = &packed.partition;
+    let partition = split.partition(g);
 
     // 1. Exactly one part per node, all ids in range.
     assert_eq!(partition.assignment().len(), n, "assignment covers every node");
@@ -53,7 +49,7 @@ fn assert_invariants(g: &MappingGraph, cfg: &SmartPartitionConfig, packed: &Pack
     // 2. The batch bound holds for every non-flagged part; flagged parts
     // are genuinely oversized (otherwise the flag is meaningless).
     for (part, &size) in sizes.iter().enumerate() {
-        if packed.oversized_parts.contains(&part) {
+        if split.oversized_parts.contains(&part) {
             assert!(size > cfg.batch_size, "flagged part {part} is not oversized ({size})");
         } else {
             assert!(
@@ -64,14 +60,30 @@ fn assert_invariants(g: &MappingGraph, cfg: &SmartPartitionConfig, packed: &Pack
         }
     }
 
-    // 3. Part-count bound from the first-fit guarantee.
-    let target = cfg.num_partitions(n);
-    assert!(
-        partition.num_parts() <= 2 * target + 1,
-        "{} parts for target {target}",
-        partition.num_parts()
-    );
-    assert_eq!(packed.target_parts, target);
+    // 3. No part spans two components; a component within the batch is
+    // exactly one part.
+    let mut component_of_part = vec![usize::MAX; partition.num_parts()];
+    for (c, component) in g.connected_components().iter().enumerate() {
+        let nodes: Vec<usize> = component
+            .left
+            .iter()
+            .map(|&i| g.left_id(i))
+            .chain(component.right.iter().map(|&j| g.right_id(j)))
+            .collect();
+        for &id in &nodes {
+            let part = partition.part_of(id);
+            assert!(
+                component_of_part[part] == usize::MAX || component_of_part[part] == c,
+                "part {part} spans components {} and {c}",
+                component_of_part[part]
+            );
+            component_of_part[part] = c;
+        }
+        if component.size() <= cfg.batch_size {
+            let part = partition.part_of(nodes[0]);
+            assert_eq!(sizes[part], component.size(), "component {c} is not one whole part");
+        }
+    }
 
     // 5. High-probability matches are never cut.
     for e in g.edges() {
@@ -92,12 +104,11 @@ fn check_seeds(seeds: std::ops::Range<u64>, left: usize, right: usize, edges: us
         let g = random_graph(seed, left, right, edges);
         for batch in [4usize, 10, 25, 75] {
             let cfg = SmartPartitionConfig::with_batch_size(batch);
-            let packed = smart_partition_packed(&g, &cfg);
-            assert_invariants(&g, &cfg, &packed);
-            // 4. Determinism across runs, and agreement with the plain API.
-            let again = smart_partition_packed(&g, &cfg);
-            assert_eq!(packed, again, "seed {seed} batch {batch} is nondeterministic");
-            assert_eq!(smart_partition(&g, &cfg), packed.partition);
+            let split = smart_partition(&g, &cfg);
+            assert_invariants(&g, &cfg, &split);
+            // 4. Determinism across runs.
+            let again = smart_partition(&g, &cfg);
+            assert_eq!(split, again, "seed {seed} batch {batch} is nondeterministic");
         }
     }
 }
@@ -122,10 +133,9 @@ fn packed_partition_invariants_hold_on_large_graphs() {
 }
 
 #[test]
-fn bench_shaped_workload_packs_to_target_plus_splits() {
-    // The synthetic bench shape: many small high-probability components
-    // (once a 213-part regression). Packing must land within target +
-    // splits, with parts bounded by the batch.
+fn bench_shaped_workload_is_one_part_per_component() {
+    // The synthetic bench shape: many small high-probability components,
+    // all within the batch. Nothing is split; each component is one part.
     let mut g = MappingGraph::new(240, 240);
     let mut rng = StdRng::seed_from_u64(7);
     for i in 0..240 {
@@ -135,55 +145,49 @@ fn bench_shaped_workload_packs_to_target_plus_splits() {
         }
     }
     let cfg = SmartPartitionConfig::with_batch_size(60);
-    let packed = smart_partition_packed(&g, &cfg);
-    assert_invariants(&g, &cfg, &packed);
-    assert_eq!(packed.target_parts, 8, "480 nodes / batch 60");
-    assert!(
-        packed.partition.num_parts()
-            <= packed.target_parts + packed.split_components + packed.oversized_parts.len(),
-        "{} parts for target {} + {} splits + {} oversized",
-        packed.partition.num_parts(),
-        packed.target_parts,
-        packed.split_components,
-        packed.oversized_parts.len()
-    );
-    assert!(packed.partition.num_parts() >= 8, "the batch bound forces at least k parts");
+    let split = smart_partition(&g, &cfg);
+    assert_invariants(&g, &cfg, &split);
+    assert_eq!(split.split_components, 0);
+    assert!(split.oversized_parts.is_empty());
+    assert_eq!(split.parts.len(), g.connected_components().len());
+    assert_eq!(split.parts.len(), 160, "80 linked pairs of couples + 80 lone couples");
 }
 
 #[test]
 fn empty_and_singleton_graphs_are_handled() {
     let empty = MappingGraph::new(0, 0);
     let cfg = SmartPartitionConfig::with_batch_size(10);
-    let packed = smart_partition_packed(&empty, &cfg);
-    assert!(packed.partition.assignment().is_empty());
-    assert_eq!(packed.split_components, 0);
-    assert!(packed.oversized_parts.is_empty());
-    assert_eq!(smart_partition(&empty, &cfg).assignment().len(), 0);
+    let split = smart_partition(&empty, &cfg);
+    assert!(split.parts.is_empty());
+    assert!(split.partition(&empty).assignment().is_empty());
+    assert_eq!(split.split_components, 0);
+    assert!(split.oversized_parts.is_empty());
 
     // A single left node, no right nodes, no edges.
     let singleton = MappingGraph::new(1, 0);
-    let packed = smart_partition_packed(&singleton, &cfg);
-    assert_eq!(packed.partition.assignment(), &[0]);
-    assert_eq!(packed.partition.num_parts(), 1);
-    assert!(packed.oversized_parts.is_empty());
+    let split = smart_partition(&singleton, &cfg);
+    assert_eq!(split.partition(&singleton).assignment(), &[0]);
+    assert_eq!(split.parts.len(), 1);
+    assert!(split.oversized_parts.is_empty());
 
-    // One isolated node on each side.
+    // One isolated node on each side: two components, two parts.
     let two = MappingGraph::new(1, 1);
-    let packed = smart_partition_packed(&two, &cfg);
-    assert_eq!(packed.partition.assignment().len(), 2);
-    assert_eq!(packed.partition.num_parts(), 1);
+    let split = smart_partition(&two, &cfg);
+    assert_eq!(split.partition(&two).assignment(), &[0, 1]);
+    assert_eq!(split.parts.len(), 2);
 
     // Batch size 1 on a two-node graph with no edges: two parts.
     let cfg1 = SmartPartitionConfig::with_batch_size(1);
-    let packed = smart_partition_packed(&two, &cfg1);
-    assert_eq!(packed.partition.num_parts(), 2);
-    assert_eq!(packed.target_parts, 2);
+    let split = smart_partition(&two, &cfg1);
+    assert_eq!(split.parts.len(), 2);
+    assert_eq!(split.split_components, 0);
 
     // Batch size 1 with a high-probability match: the 2-node cluster cannot
     // be split, so it becomes a single flagged oversized part.
     let mut matched = MappingGraph::new(1, 1);
     matched.add_edge(0, 0, 0.95);
-    let packed = smart_partition_packed(&matched, &cfg1);
-    assert_eq!(packed.partition.num_parts(), 1);
-    assert_eq!(packed.oversized_parts, vec![0]);
+    let split = smart_partition(&matched, &cfg1);
+    assert_eq!(split.parts.len(), 1);
+    assert_eq!(split.oversized_parts, vec![0]);
+    assert_eq!(split.split_components, 0);
 }

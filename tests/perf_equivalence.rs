@@ -14,10 +14,10 @@
 //!    blocked partners, never materialising a pair list) retains
 //!    byte-identical candidates to `candidate_pairs_naive` across seeded
 //!    random datasets;
-//! 5. the batch-packed Stage-2 partition produces the same explanations as
-//!    the unpacked strategies, and parallel runs stay byte-identical to
-//!    sequential ones under a *node-limited* (deterministic-deadline)
-//!    search even when the limit is hit.
+//! 5. smart partitioning without an oversized component reports exactly
+//!    what connected-components splitting does, and parallel runs stay
+//!    byte-identical to sequential ones under a *node-limited*
+//!    (deterministic-deadline) search even when the limit is hit.
 
 use explain3d::datagen::rng::{Rng, SeedableRng, StdRng};
 use explain3d::datagen::{generate_synthetic, vocab, SyntheticConfig};
@@ -266,11 +266,11 @@ fn node_limited_deadline_is_deterministic_even_when_hit() {
     assert_eq!(par.log_probability.to_bits(), again.log_probability.to_bits());
 }
 
-/// The packed smart partition must not change *what* is explained: its
-/// merged explanations agree with the connected-components strategy (which
-/// is exact) on seeded synthetic workloads.
+/// With no component larger than the batch, smart partitioning hands
+/// Stage 2 exactly the connected-components job list, so the reports are
+/// byte-identical on seeded synthetic workloads.
 #[test]
-fn packed_partition_explanations_agree_with_connected_components() {
+fn smart_partition_reports_are_byte_identical_to_connected_components() {
     for (tuples, noise, vocab_size) in [(60usize, 0.3f64, 200usize), (100, 0.4, 350)] {
         let case = generate_synthetic(&SyntheticConfig::new(tuples, noise, vocab_size));
         let milp = MilpConfig { time_limit: None, max_nodes: 2_000, ..Default::default() };
@@ -282,26 +282,13 @@ fn packed_partition_explanations_agree_with_connected_components() {
                 &case.initial_mapping,
             )
         };
-        let packed = run(Explain3DConfig::batched(30));
+        let smart = run(Explain3DConfig::batched(30));
         let cc = run(Explain3DConfig::connected_components());
-        // Explanation *content* agrees (evidence merge order legitimately
-        // differs between partition layouts, so compare normalised parts
-        // and the evidence as a set).
-        assert_eq!(packed.explanations.provenance, cc.explanations.provenance);
-        assert_eq!(packed.explanations.value, cc.explanations.value);
-        let mut packed_ev: Vec<(usize, usize)> =
-            packed.explanations.evidence.iter().map(|m| m.pair()).collect();
-        let mut cc_ev: Vec<(usize, usize)> =
-            cc.explanations.evidence.iter().map(|m| m.pair()).collect();
-        packed_ev.sort_unstable();
-        cc_ev.sort_unstable();
-        assert_eq!(packed_ev, cc_ev, "evidence sets diverged");
-        assert_eq!(packed.complete, cc.complete);
-        // Packing reduces the part count to the target window while the
-        // per-MILP work stays at component scale.
-        assert!(packed.stats.num_subproblems <= cc.stats.num_subproblems);
-        assert!(packed.stats.milp_count >= packed.stats.num_subproblems);
-        assert_eq!(packed.stats.oversized_parts, 0);
+        assert_eq!(smart.stats.split_components, 0, "no component exceeds the batch");
+        assert_eq!(smart.explanations, cc.explanations);
+        assert_eq!(smart.log_probability.to_bits(), cc.log_probability.to_bits());
+        assert_eq!(smart.complete, cc.complete);
+        assert_eq!(smart.stats.num_subproblems, cc.stats.num_subproblems);
     }
 }
 
@@ -438,17 +425,14 @@ fn work_stealing_is_byte_identical_across_thread_counts() {
     let attr = explain3d::core::prelude::AttributeMatches::single_equivalent("k", "k");
     let milp = MilpConfig { time_limit: None, max_nodes: 300, ..Default::default() };
     // Batch 16 < the 44-tuple welded cluster: the cluster becomes a flagged
-    // oversized part of its own; the couples pack into the other parts.
+    // oversized part of its own; each couple is a part of its own.
     let config = Explain3DConfig::batched(16).with_milp(milp);
     let run = |threads: usize| {
         Explain3D::new(config.clone().with_threads(threads)).explain(&left, &right, &attr, &mapping)
     };
     let base = run(1);
-    assert!(base.stats.oversized_parts >= 1, "the huge cluster must be flagged oversized");
-    assert!(
-        base.stats.milp_count > base.stats.num_subproblems,
-        "parts must decompose into more components than parts"
-    );
+    assert_eq!(base.stats.oversized_parts, 1, "the huge cluster must be flagged oversized");
+    assert_eq!(base.stats.max_subproblem_size, 44, "the welded cluster is the largest job");
     for threads in [2, 4, 8] {
         let par = run(threads);
         assert_eq!(base.explanations, par.explanations, "threads={threads}");

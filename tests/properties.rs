@@ -226,7 +226,7 @@ fn partitioning_is_a_proper_cover() {
                 g.add_edge(i, i + 1, 0.3);
             }
         }
-        let p = smart_partition(&g, &SmartPartitionConfig::with_batch_size(batch));
+        let p = smart_partition(&g, &SmartPartitionConfig::with_batch_size(batch)).partition(&g);
         assert_eq!(p.assignment().len(), g.node_count());
         assert!(p.max_part_size() <= batch.max(2));
         let covered: usize = p.part_sizes().iter().sum();
