@@ -447,9 +447,9 @@ pub fn decode(encoded: &EncodedProblem, solution: &Solution) -> ExplanationSet {
 }
 
 /// Builds a quickly-constructed *complete* solution of the sub-problem and
-/// its objective value (Eq. 13). Used both as a warm-start bound for the
+/// its objective value (Eq. 13). Used both as the incumbent of the
 /// branch-and-bound search and as a fallback when the exact search hits its
-/// node or time limit without producing a solution.
+/// node budget without producing a solution.
 ///
 /// The heuristic greedily keeps matches by descending probability subject to
 /// the validity constraints, removes every unmatched tuple, and repairs any

@@ -50,20 +50,16 @@ pub struct Explain3DConfig {
     pub strategy: PartitioningStrategy,
     /// MILP solver configuration (per sub-problem).
     pub milp: MilpConfig,
-    /// Solve sub-problem MILPs concurrently across CPU cores. Partitioning
-    /// produces independent sub-problems by construction and results are
-    /// merged in partition order, so parallel and sequential runs return
-    /// identical reports **as long as the MILP search itself is
-    /// deterministic** — which it is by default: [`MilpConfig`] bounds the
-    /// search with a deterministic per-model *node budget* derived from
-    /// [`MilpConfig::deadline`] instead of a wall-clock limit, so
-    /// `Explain3DConfig::default()` is byte-reproducible even under thread
-    /// contention. Setting a wall-clock [`MilpConfig::time_limit`]
-    /// re-introduces scheduling-dependent results for solves that hit it
-    /// (see `tests/perf_equivalence.rs`).
-    pub parallel: bool,
-    /// Worker threads for the solve phase: `None` uses all available cores
-    /// (ignored when [`parallel`](Explain3DConfig::parallel) is off).
+    /// Worker threads for the solve phase: `None` uses every available
+    /// core, `Some(n)` uses `n` (at least one; `Some(1)` is sequential).
+    ///
+    /// The thread count never changes a report. Partitioning produces
+    /// independent sub-problems by construction and results are merged in
+    /// partition order, and the MILP search is deterministic: [`MilpConfig`]
+    /// bounds it with a per-model *node budget* derived from
+    /// [`MilpConfig::deadline`], and the solver has no wall-clock limit. So
+    /// parallel and sequential runs return byte-identical reports even
+    /// under thread contention (see `tests/perf_equivalence.rs`).
     pub threads: Option<usize>,
 }
 
@@ -73,7 +69,6 @@ impl Default for Explain3DConfig {
             params: ProbabilityParams::default(),
             strategy: PartitioningStrategy::Smart { batch_size: 1000 },
             milp: MilpConfig::default(),
-            parallel: true,
             threads: None,
         }
     }
@@ -113,27 +108,16 @@ impl Explain3DConfig {
         self
     }
 
-    /// Enables or disables concurrent sub-problem solving.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
     /// Uses exactly `threads` worker threads for the solve phase
     /// (`threads <= 1` disables concurrency).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.parallel = threads > 1;
         self.threads = Some(threads.max(1));
         self
     }
 
     /// The worker-thread count this configuration requests.
     pub fn requested_threads(&self) -> usize {
-        if !self.parallel {
-            1
-        } else {
-            self.threads.unwrap_or_else(explain3d_parallel::max_threads).max(1)
-        }
+        self.threads.unwrap_or_else(explain3d_parallel::max_threads).max(1)
     }
 }
 
@@ -172,8 +156,8 @@ pub struct PipelineStats {
     /// Time spent merging per-component outcomes into the final report
     /// ([`assemble_report`] — normalisation, scoring, completeness check).
     pub assemble_time: Duration,
-    /// Wall-clock time of the encode-and-solve phase. With `parallel`
-    /// enabled this is the span of the whole concurrent phase, which on a
+    /// Wall-clock time of the encode-and-solve phase. With more than one
+    /// thread this is the span of the whole concurrent phase, which on a
     /// multi-core machine is smaller than
     /// [`solve_cpu_time`](PipelineStats::solve_cpu_time).
     pub solve_time: Duration,
@@ -487,15 +471,14 @@ pub fn solve_component(
         };
     }
     let encoded = crate::encode::encode(left, right, relation, &config.params, comp);
-    // Warm-start the branch-and-bound with a greedily-constructed
-    // complete solution so obviously-worse branches are pruned early;
-    // the same solution serves as a fallback when the exact search hits
-    // a node or time limit without an incumbent.
+    // Seed the branch-and-bound with a greedily-constructed complete
+    // solution as its incumbent so obviously-worse branches are pruned
+    // early; the same solution serves as a fallback when the exact search
+    // hits its node budget without a better incumbent.
     let (fallback, hint) =
         crate::encode::heuristic_solution(left, right, relation, &config.params, comp);
-    let milp_config = config.milp.clone().with_incumbent_hint(hint);
     let (solution, solve_stats) =
-        explain3d_milp::branch_bound::solve_with_stats(&encoded.model, &milp_config);
+        explain3d_milp::branch_bound::solve_with_stats(&encoded.model, &config.milp, Some(hint));
     let explanations = if solution.status.has_solution() {
         crate::encode::decode(&encoded, &solution)
     } else {
@@ -646,13 +629,8 @@ mod tests {
             Explain3DConfig::connected_components(),
             Explain3DConfig::no_opt(),
         ] {
-            let par = Explain3D::new(cfg.clone().with_parallel(true)).explain(
-                &t1,
-                &t2,
-                &attr(),
-                &mapping,
-            );
-            let seq = Explain3D::new(cfg.with_parallel(false)).explain(&t1, &t2, &attr(), &mapping);
+            let par = Explain3D::new(cfg.clone()).explain(&t1, &t2, &attr(), &mapping);
+            let seq = Explain3D::new(cfg.with_threads(1)).explain(&t1, &t2, &attr(), &mapping);
             assert_eq!(par.explanations, seq.explanations);
             assert_eq!(par.log_probability.to_bits(), seq.log_probability.to_bits());
             assert_eq!(par.complete, seq.complete);

@@ -18,7 +18,7 @@ use explain3d_core::prelude::{
 };
 use explain3d_incremental::{RelationDelta, SessionConfig, TupleOp};
 use explain3d_linkage::StringMetric;
-use explain3d_milp::prelude::{LpKernel, MilpConfig};
+use explain3d_milp::prelude::MilpConfig;
 use explain3d_relation::prelude::{Aggregate, Column, Row, Schema, Value, ValueType};
 use std::fmt;
 use std::time::Duration;
@@ -498,11 +498,19 @@ pub fn dec_matches(d: &mut Dec<'_>) -> Result<AttributeMatches, CodecError> {
 /// Encodes a session configuration.
 ///
 /// Every field that changes the deterministic output of an explain run is
-/// persisted bit-exactly. The `E3DSNAP2` layout also keeps three slots of
-/// removed settings: the MILP basis-export flag, the session warm-start
-/// flag and the pair-score cache cap. They are written as `false`,
-/// `false` and `None`; [`dec_session_config`] reads and discards them,
-/// so snapshots written with those settings still decode.
+/// persisted bit-exactly. The `E3DSNAP2` layout also keeps the slots of
+/// removed settings, each written as the setting's old default:
+///
+/// - the MILP wall-clock time limit (`None`), integrality tolerance
+///   (`1e-6`), optimality gap (`1e-7`), incumbent hint (`None`),
+///   basis-export flag (`false`) and LP-kernel tag (`0`, sparse);
+/// - the parallel flag, written as `threads != Some(1)`;
+/// - the session warm-start flag (`false`) and the pair-score cache cap
+///   (`None`).
+///
+/// [`dec_session_config`] reads and discards them (a stored
+/// `parallel = false` decodes as `threads = Some(1)`), so snapshots
+/// written with those settings still decode.
 pub fn enc_session_config(e: &mut Enc, c: &SessionConfig) {
     let ProbabilityParams { alpha, beta, prob_floor } = c.explain.params;
     e.f64(alpha);
@@ -519,17 +527,17 @@ pub fn enc_session_config(e: &mut Enc, c: &SessionConfig) {
     let m = &c.explain.milp;
     e.usize(m.max_nodes);
     e.opt_duration(m.deadline);
-    e.opt_duration(m.time_limit);
-    e.f64(m.int_tolerance);
-    e.f64(m.gap_tolerance);
-    e.opt_f64(m.incumbent_hint);
-    e.bool(false); // removed basis-export flag: slot kept in the E3DSNAP2 layout
-    e.u8(match m.lp_kernel {
-        LpKernel::Sparse => 0,
-        LpKernel::Dense => 1,
-    });
+    // Removed settings, written as their old defaults: wall-clock time
+    // limit, integrality and gap tolerances, incumbent hint, basis-export
+    // flag and LP-kernel tag (sparse).
+    e.opt_duration(None);
+    e.f64(1e-6);
+    e.f64(1e-7);
+    e.opt_f64(None);
+    e.bool(false);
+    e.u8(0);
     e.bool(m.warm_start);
-    e.bool(c.explain.parallel);
+    e.bool(c.explain.threads != Some(1)); // removed parallel flag
     e.opt_u64(c.explain.threads.map(|t| t as u64));
     e.u8(match c.mapping.metric {
         StringMetric::Jaccard => 0,
@@ -556,30 +564,25 @@ pub fn dec_session_config(d: &mut Dec<'_>) -> Result<SessionConfig, CodecError> 
     };
     let max_nodes = d.usize()?;
     let deadline = d.opt_duration()?;
-    let time_limit = d.opt_duration()?;
-    let int_tolerance = d.f64()?;
-    let gap_tolerance = d.f64()?;
-    let incumbent_hint = d.opt_f64()?;
-    d.bool()?; // removed basis-export flag: slot kept in the E3DSNAP2 layout
-    let milp = MilpConfig {
-        max_nodes,
-        deadline,
-        time_limit,
-        int_tolerance,
-        gap_tolerance,
-        incumbent_hint,
-        lp_kernel: match d.u8()? {
-            0 => LpKernel::Sparse,
-            1 => LpKernel::Dense,
-            _ => return Err(CodecError::Invalid("lp-kernel tag")),
-        },
-        warm_start: d.bool()?,
-    };
+    // Removed settings, read and discarded: wall-clock time limit,
+    // integrality and gap tolerances, incumbent hint, basis-export flag
+    // and LP-kernel tag.
+    d.opt_duration()?;
+    d.f64()?;
+    d.f64()?;
+    d.opt_f64()?;
+    d.bool()?;
+    if d.u8()? > 1 {
+        return Err(CodecError::Invalid("lp-kernel tag"));
+    }
+    let milp = MilpConfig { max_nodes, deadline, warm_start: d.bool()? };
     let parallel = d.bool()?;
     let threads = d
         .opt_u64()?
         .map(|t| usize::try_from(t).map_err(|_| CodecError::Invalid("threads overflow")))
         .transpose()?;
+    // A session stored with the removed parallel flag off ran sequentially.
+    let threads = if parallel { threads } else { Some(1) };
     let metric = match d.u8()? {
         0 => StringMetric::Jaccard,
         1 => StringMetric::Jaro,
@@ -599,7 +602,6 @@ pub fn dec_session_config(d: &mut Dec<'_>) -> Result<SessionConfig, CodecError> 
             params: ProbabilityParams { alpha, beta, prob_floor },
             strategy,
             milp,
-            parallel,
             threads,
         },
         mapping,
@@ -706,7 +708,6 @@ mod tests {
         let mut config = SessionConfig::default();
         config.explain.strategy = PartitioningStrategy::Smart { batch_size: 77 };
         config.explain.milp.deadline = Some(Duration::from_millis(123));
-        config.explain.milp.incumbent_hint = Some(-3.25);
         config.explain.threads = Some(3);
         config.mapping.metric = StringMetric::JaroWinkler;
         config.mapping.min_similarity = 0.42;
@@ -718,7 +719,6 @@ mod tests {
         assert!(d.finished());
         assert_eq!(back.explain.strategy, config.explain.strategy);
         assert_eq!(back.explain.milp.deadline, config.explain.milp.deadline);
-        assert_eq!(back.explain.milp.incumbent_hint, config.explain.milp.incumbent_hint);
         assert_eq!(back.explain.threads, config.explain.threads);
         assert_eq!(back.mapping.metric, config.mapping.metric);
         assert_eq!(back.mapping.min_similarity, config.mapping.min_similarity);
@@ -726,34 +726,46 @@ mod tests {
 
     #[test]
     fn removed_config_slots_decode_when_set() {
-        // A snapshot of a session that had basis export and warm starts
-        // switched on carries `true` in the two kept bool slots. It must
-        // still decode, and every other field must survive.
+        // A snapshot of a session written with every removed setting off
+        // its default must still decode, and every kept field must survive.
         let mut config = SessionConfig::default();
         config.explain.strategy = PartitioningStrategy::Smart { batch_size: 77 };
         config.explain.milp.max_nodes = 4321;
         config.explain.milp.deadline = Some(Duration::from_millis(123));
-        config.explain.milp.time_limit = None;
-        config.explain.milp.incumbent_hint = Some(-3.25);
-        config.explain.milp.lp_kernel = LpKernel::Dense;
         config.explain.milp.warm_start = false;
-        config.explain.parallel = true;
         config.explain.threads = Some(3);
         config.mapping.metric = StringMetric::Jaro;
         config.mapping.min_similarity = 0.42;
         config.mapping.use_blocking = false;
         config.mapping.sample_every = 9;
-        let mut e = Enc::new();
-        enc_session_config(&mut e, &config);
-        let clean = e.into_bytes();
-        // params (3 × 8), strategy (1 + 8), max_nodes (8), deadline
-        // (1 + 8), time limit (1), two tolerances (2 × 8), incumbent
-        // hint (1 + 8), then the basis-export slot.
-        let export_slot = 24 + 9 + 8 + 9 + 1 + 16 + 9;
-        // The warm-start slot precedes the one-byte `None` cap slot.
+        let encode = |c: &SessionConfig| {
+            let mut e = Enc::new();
+            enc_session_config(&mut e, c);
+            e.into_bytes()
+        };
+        let clean = encode(&config);
+        // params (3 × 8), strategy (1 + 8), max_nodes (8) and deadline
+        // (1 + 8) precede the removed MILP slots. Written as defaults they
+        // span 20 bytes: time limit (1), two tolerances (2 × 8), incumbent
+        // hint (1), basis-export flag (1) and LP-kernel tag (1).
+        let retired = 24 + 9 + 8 + 9;
+        let (export_slot, kernel_slot) = (retired + 18, retired + 19);
+        assert_eq!(clean[retired..retired + 20], {
+            let mut e = Enc::new();
+            e.opt_duration(None);
+            e.f64(1e-6);
+            e.f64(1e-7);
+            e.opt_f64(None);
+            e.bool(false);
+            e.u8(0);
+            e.into_bytes()
+        });
+        // The parallel slot follows the warm-start flag; the session
+        // warm-start slot precedes the one-byte `None` cap slot.
+        let parallel_slot = retired + 21;
         let warm_slot = clean.len() - 2;
-        for slot in [export_slot, warm_slot] {
-            assert_eq!(clean[slot], 0, "kept slots are written as false");
+        assert_eq!(clean[parallel_slot], 1, "threads = Some(3) is written as parallel");
+        for slot in [export_slot, parallel_slot, warm_slot] {
             // A non-bool byte is rejected as a bool tag, so `slot` is a
             // bool slot read by the decoder.
             let mut bad = clean.clone();
@@ -761,18 +773,41 @@ mod tests {
             let err = dec_session_config(&mut Dec::new(&bad)).unwrap_err();
             assert_eq!(err, CodecError::Invalid("bool tag"));
         }
-        let mut old = clean.clone();
-        old[export_slot] = 1;
-        old[warm_slot] = 1;
+        let mut bad = clean.clone();
+        bad[kernel_slot] = 2;
+        let err = dec_session_config(&mut Dec::new(&bad)).unwrap_err();
+        assert_eq!(err, CodecError::Invalid("lp-kernel tag"));
+
+        // Every removed slot set: a 5 s time limit, other tolerances, an
+        // incumbent hint, basis export, the dense kernel and warm starts.
+        let mut e = Enc::new();
+        e.opt_duration(Some(Duration::from_secs(5)));
+        e.f64(1e-3);
+        e.f64(1e-4);
+        e.opt_f64(Some(-3.25));
+        e.bool(true);
+        e.u8(1);
+        let mut old = [&clean[..retired], &e.into_bytes(), &clean[retired + 20..]].concat();
+        let last = old.len() - 2;
+        old[last] = 1;
         let mut d = Dec::new(&old);
         let back = dec_session_config(&mut d).unwrap();
         assert!(d.finished());
         // The encoding is bit-exact, so re-encoding to the clean bytes
-        // shows every other field round-tripped and the slots are written
-        // back as false.
-        let mut e = Enc::new();
-        enc_session_config(&mut e, &back);
-        assert_eq!(e.into_bytes(), clean);
+        // shows every kept field round-tripped and the removed slots are
+        // written back as their defaults.
+        assert_eq!(encode(&back), clean);
+
+        // A session stored with parallel solving off ran on one thread.
+        let parallel_at = parallel_slot + old.len() - clean.len();
+        old[parallel_at] = 0;
+        let back = dec_session_config(&mut Dec::new(&old)).unwrap();
+        assert_eq!(back.explain.threads, Some(1));
+        let mut sequential = config.clone();
+        sequential.explain.threads = Some(1);
+        let rewritten = encode(&sequential);
+        assert_eq!(rewritten[parallel_slot], 0, "threads = Some(1) is written as sequential");
+        assert_eq!(encode(&back), rewritten);
     }
 
     #[test]

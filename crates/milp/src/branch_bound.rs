@@ -1,30 +1,28 @@
 //! Branch-and-bound MILP solver on top of the simplex LP relaxation.
 //!
-//! Each node's LP relaxation is solved with the sparse revised simplex by
-//! default ([`LpKernel::Sparse`]), and child nodes are **warm-started**: a
-//! child re-solves from its parent's optimal basis with a short dual-simplex
-//! run instead of running phase 1 from scratch (only the branched variable's
-//! bound — i.e. the right-hand side — changed, so the parent basis is still
-//! dual feasible). [`LpKernel::Dense`] selects the dense reference kernel
-//! for baselining.
+//! Each node's LP relaxation is solved with the sparse revised simplex, and
+//! child nodes are **warm-started**: a child re-solves from its parent's
+//! optimal basis with a short dual-simplex run instead of running phase 1
+//! from scratch (only the branched variable's bound — i.e. the right-hand
+//! side — changed, so the parent basis is still dual feasible). The search
+//! reads no clock: it is bounded by a node budget alone
+//! ([`MilpConfig::node_budget_for`]), so every run of the same model
+//! explores the same tree and returns the same solution.
 
 use crate::expr::VarId;
 use crate::model::{Direction, Model, Solution, SolveStatus};
 use crate::revised::{SparseBasis, SparseLp};
-use crate::simplex::{solve_lp_dense, LpResult, LpStatus};
+use crate::simplex::{LpResult, LpStatus};
 use std::rc::Rc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Which LP kernel the branch-and-bound search uses for node relaxations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LpKernel {
-    /// The sparse revised simplex with warm-started re-solves (production).
-    #[default]
-    Sparse,
-    /// The dense two-phase tableau (reference baseline; every node is
-    /// solved cold).
-    Dense,
-}
+/// Integrality tolerance: a value within this distance of an integer is
+/// considered integral.
+const INT_TOLERANCE: f64 = 1e-6;
+
+/// Absolute optimality gap: nodes whose LP bound improves the incumbent by
+/// less than this are pruned.
+const GAP_TOLERANCE: f64 = 1e-7;
 
 /// Calibrated per-node cost model of the sparse warm-started search on the
 /// reference single-core container: a branch-and-bound node on a model with
@@ -64,43 +62,17 @@ pub struct MilpConfig {
     /// the calibrated cost model ([`MilpConfig::node_budget_for`]), so a
     /// "deadline-hit" search stops at exactly the same node on every run —
     /// default-configured solves are byte-reproducible even under thread
-    /// contention, unlike wall-clock limited ones. `Some(DEFAULT_DEADLINE)`
-    /// by default.
+    /// contention. `Some(DEFAULT_DEADLINE)` by default.
     pub deadline: Option<Duration>,
-    /// Optional wall-clock time limit. `None` by default: the calibrated
-    /// node budget plays the deadline role deterministically. Setting a
-    /// time limit re-introduces scheduling-dependent results for searches
-    /// that hit it.
-    pub time_limit: Option<Duration>,
-    /// Integrality tolerance: a value within this distance of an integer is
-    /// considered integral.
-    pub int_tolerance: f64,
-    /// Absolute optimality gap: nodes whose LP bound improves the incumbent
-    /// by less than this are pruned.
-    pub gap_tolerance: f64,
-    /// Optional warm-start objective value of a known feasible solution
-    /// (in the model's direction); used only for pruning.
-    pub incumbent_hint: Option<f64>,
-    /// LP kernel for node relaxations.
-    pub lp_kernel: LpKernel,
-    /// Reuse the parent node's optimal basis when solving children (sparse
-    /// kernel only). Disable to force every node to solve cold, e.g. to
-    /// check warm/cold equivalence.
+    /// Reuse the parent node's optimal basis when solving children.
+    /// Disable to force every node to solve cold, e.g. to check warm/cold
+    /// equivalence.
     pub warm_start: bool,
 }
 
 impl Default for MilpConfig {
     fn default() -> Self {
-        MilpConfig {
-            max_nodes: 200_000,
-            deadline: Some(DEFAULT_DEADLINE),
-            time_limit: None,
-            int_tolerance: 1e-6,
-            gap_tolerance: 1e-7,
-            incumbent_hint: None,
-            lp_kernel: LpKernel::default(),
-            warm_start: true,
-        }
+        MilpConfig { max_nodes: 200_000, deadline: Some(DEFAULT_DEADLINE), warm_start: true }
     }
 }
 
@@ -108,24 +80,6 @@ impl MilpConfig {
     /// A configuration with a specific node limit.
     pub fn with_max_nodes(mut self, max_nodes: usize) -> Self {
         self.max_nodes = max_nodes;
-        self
-    }
-
-    /// A configuration with a specific time limit.
-    pub fn with_time_limit(mut self, limit: Duration) -> Self {
-        self.time_limit = Some(limit);
-        self
-    }
-
-    /// Supplies a warm-start bound from a known feasible solution.
-    pub fn with_incumbent_hint(mut self, objective: f64) -> Self {
-        self.incumbent_hint = Some(objective);
-        self
-    }
-
-    /// A configuration using the given LP kernel.
-    pub fn with_lp_kernel(mut self, kernel: LpKernel) -> Self {
-        self.lp_kernel = kernel;
         self
     }
 
@@ -174,13 +128,20 @@ pub struct SolveStats {
     /// LP solves where the sparse kernel gave up and the dense reference
     /// kernel answered (numerical fallback).
     pub dense_fallbacks: usize,
-    /// Whether a limit (node or time) interrupted the search.
+    /// Whether the node budget interrupted the search.
     pub limit_hit: bool,
 }
 
 /// Solves a MILP, returning the best solution found and search statistics.
-pub fn solve_with_stats(model: &Model, config: &MilpConfig) -> (Solution, SolveStats) {
-    let start = Instant::now();
+///
+/// `incumbent` is the objective value of a known feasible solution (in the
+/// model's direction), used only for pruning: branches that cannot beat it
+/// are cut, and a solution equal to it is still found and returned.
+pub fn solve_with_stats(
+    model: &Model,
+    config: &MilpConfig,
+    incumbent: Option<f64>,
+) -> (Solution, SolveStats) {
     let n = model.num_vars();
     let sign = match model.direction() {
         Direction::Maximize => 1.0,
@@ -194,25 +155,24 @@ pub fn solve_with_stats(model: &Model, config: &MilpConfig) -> (Solution, SolveS
     let mut stats = SolveStats::default();
     // `best` holds (objective in max-sense, values).
     let mut best: Option<(f64, Vec<f64>)> = None;
-    // The warm-start hint is relaxed by a small epsilon so a solution equal
-    // to the hint is still discovered (and reported) by the search.
-    let mut incumbent_bound = config.incumbent_hint.map(|o| o * sign - 1e-6);
+    // The incumbent is relaxed by a small epsilon so a solution equal to it
+    // is still discovered (and reported) by the search.
+    let mut incumbent_bound = incumbent.map(|o| o * sign - 1e-6);
 
     let mut root_warm: Option<NodeLp> = None;
-    // Root diving heuristic (sparse kernel): greedily round the relaxation
+    // Root diving heuristic: greedily round the relaxation
     // to a feasible integral solution through warm-started re-solves. The
     // resulting incumbent both unlocks bound pruning from the first node
     // and guarantees a usable solution when the node budget is hit. The
     // dive's root solve doubles as the root node's warm state, so the main
     // loop does not re-solve the same LP cold.
-    if config.lp_kernel == LpKernel::Sparse
-        && config.warm_start
+    if config.warm_start
         && !int_vars.is_empty()
         && model.num_vars() + model.num_constraints() >= DIVE_MIN_SIZE
     {
-        let (warm, incumbent) = dive_heuristic(model, &int_vars, &root_bounds, config, &mut stats);
+        let (warm, dived) = dive_heuristic(model, &int_vars, &root_bounds, &mut stats);
         root_warm = warm;
-        if let Some(values) = incumbent {
+        if let Some(values) = dived {
             let obj_max = evaluate_objective(model, &values) * sign;
             if incumbent_bound.map(|b| obj_max > b).unwrap_or(true) {
                 incumbent_bound = Some(obj_max);
@@ -222,7 +182,7 @@ pub fn solve_with_stats(model: &Model, config: &MilpConfig) -> (Solution, SolveS
     }
 
     // Depth-first stack of nodes, each carrying its own bound vector plus
-    // (sparse kernel) the LP context and optimal basis of its parent, from
+    // the LP context and optimal basis of its parent, from
     // which the node's relaxation is warm-started.
     type Node = (Vec<(f64, f64)>, Option<NodeLp>);
     let mut stack: Vec<Node> = vec![(root_bounds, root_warm)];
@@ -234,13 +194,6 @@ pub fn solve_with_stats(model: &Model, config: &MilpConfig) -> (Solution, SolveS
             fully_explored = false;
             stats.limit_hit = true;
             break;
-        }
-        if let Some(limit) = config.time_limit {
-            if start.elapsed() > limit {
-                fully_explored = false;
-                stats.limit_hit = true;
-                break;
-            }
         }
         stats.nodes += 1;
         stats.lp_solves += 1;
@@ -264,14 +217,14 @@ pub fn solve_with_stats(model: &Model, config: &MilpConfig) -> (Solution, SolveS
         }
         let node_bound = lp.objective * sign;
         if let Some(inc) = incumbent_bound {
-            if node_bound <= inc + config.gap_tolerance {
+            if node_bound <= inc + GAP_TOLERANCE {
                 continue; // cannot improve the incumbent
             }
         }
 
         // Find the most fractional integral variable.
         let mut branch_var: Option<(VarId, f64)> = None;
-        let mut best_frac = config.int_tolerance;
+        let mut best_frac = INT_TOLERANCE;
         for &v in &int_vars {
             let x = lp.values[v.index()];
             let frac = (x - x.round()).abs();
@@ -364,7 +317,6 @@ fn dive_heuristic(
     model: &Model,
     int_vars: &[VarId],
     root_bounds: &[(f64, f64)],
-    config: &MilpConfig,
     stats: &mut SolveStats,
 ) -> (Option<NodeLp>, Option<Vec<f64>>) {
     let ctx = Rc::new(SparseLp::new(model, root_bounds));
@@ -381,7 +333,7 @@ fn dive_heuristic(
         }
         // Most fractional integral variable.
         let mut pick: Option<(usize, f64)> = None;
-        let mut best_frac = config.int_tolerance;
+        let mut best_frac = INT_TOLERANCE;
         for &v in int_vars {
             let x = lp.values[v.index()];
             let frac = (x - x.round()).abs();
@@ -442,7 +394,7 @@ fn solve_fixed(
 }
 
 /// Solves one node's LP relaxation, warm-starting from the parent basis
-/// when available (sparse kernel) and falling back to a cold solve on a
+/// when available and falling back to a cold solve on a
 /// fresh context otherwise. Returns the LP result plus the state the
 /// node's children warm-start from.
 fn solve_node(
@@ -452,9 +404,6 @@ fn solve_node(
     warm: Option<&NodeLp>,
     stats: &mut SolveStats,
 ) -> (LpResult, Option<NodeLp>) {
-    if config.lp_kernel == LpKernel::Dense {
-        return (solve_lp_dense(model, bounds), None);
-    }
     if config.warm_start {
         if let Some(w) = warm {
             if let Some((lp, basis)) = w.ctx.solve_warm(model, bounds, &w.basis) {
@@ -475,7 +424,7 @@ fn solve_node(
 
 /// Solves a MILP with the given configuration.
 pub fn solve(model: &Model, config: &MilpConfig) -> Solution {
-    solve_with_stats(model, config).0
+    solve_with_stats(model, config, None).0
 }
 
 /// Solves a MILP with default configuration.
@@ -634,7 +583,7 @@ mod tests {
         m.add_le("cap", cap, 7.0);
         m.maximize(obj);
         let cfg = MilpConfig::default().with_max_nodes(2);
-        let (sol, stats) = solve_with_stats(&m, &cfg);
+        let (sol, stats) = solve_with_stats(&m, &cfg, None);
         assert!(stats.nodes <= 2);
         assert!(matches!(sol.status, SolveStatus::Feasible | SolveStatus::LimitReached));
         // With enough nodes the same model solves to optimality.
@@ -651,8 +600,7 @@ mod tests {
         m.add_le("c", term(x, 1.0) + term(y, 1.0), 1.0);
         m.maximize(term(x, 2.0) + term(y, 3.0));
         // Hint below the optimum: search still proves optimality of 3.
-        let cfg = MilpConfig::default().with_incumbent_hint(1.0);
-        let sol = solve(&m, &cfg);
+        let (sol, _) = solve_with_stats(&m, &MilpConfig::default(), Some(1.0));
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 3.0).abs() < 1e-6);
     }
@@ -663,8 +611,7 @@ mod tests {
         let x = m.add_binary("x");
         m.add_le("cap", term(x, 1.0), 1.0);
         m.maximize(term(x, 1.0));
-        let cfg = MilpConfig::default().with_incumbent_hint(1.0);
-        let sol = solve(&m, &cfg);
+        let (sol, _) = solve_with_stats(&m, &MilpConfig::default(), Some(1.0));
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 1.0).abs() < 1e-6);
         assert!(sol.is_set(x));

@@ -14,9 +14,10 @@
 //! * [`simplex`] — the dense two-phase tableau kernel, kept as the
 //!   equivalence baseline and numerical fallback;
 //! * [`branch_bound`] — best-effort depth-first branch-and-bound with
-//!   most-fractional branching, bound pruning, node/time limits, optional
-//!   warm-start hints, and warm-started LP re-solves (each child node
-//!   starts from its parent's optimal basis instead of phase 1).
+//!   most-fractional branching, bound pruning, a deterministic node
+//!   budget, an optional known incumbent, and warm-started LP re-solves
+//!   (each child node starts from its parent's optimal basis instead of
+//!   phase 1).
 //!
 //! The encodings produced by Explain3D (especially after the
 //! smart-partitioning optimiser splits the problem) are small enough that an
@@ -46,9 +47,7 @@ pub mod simplex;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::branch_bound::{
-        solve, solve_default, solve_with_stats, LpKernel, MilpConfig, SolveStats,
-    };
+    pub use crate::branch_bound::{solve, solve_default, solve_with_stats, MilpConfig, SolveStats};
     pub use crate::expr::{LinExpr, VarId};
     pub use crate::model::{
         Constraint, Direction, Model, Sense, Solution, SolveStatus, VarKind, Variable,

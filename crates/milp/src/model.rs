@@ -84,8 +84,8 @@ pub enum Direction {
 pub enum SolveStatus {
     /// An optimal solution was found (within tolerances).
     Optimal,
-    /// A feasible solution was found, but optimality was not proven before a
-    /// node or time limit was hit.
+    /// A feasible solution was found, but optimality was not proven before
+    /// the node budget ran out.
     Feasible,
     /// The problem has no feasible solution.
     Infeasible,

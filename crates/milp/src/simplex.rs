@@ -10,9 +10,8 @@
 //!
 //! Production solves go through [`solve_lp`], which dispatches to the
 //! sparse revised simplex of [`revised`](crate::revised); the dense kernel
-//! ([`solve_lp_dense`]) is kept as the equivalence baseline, the numerical
-//! fallback, and the `LpKernel::Dense` configuration of the
-//! branch-and-bound solver.
+//! ([`solve_lp_dense`]) is kept as the equivalence baseline and the
+//! numerical fallback of the sparse kernel.
 
 // Dense-tableau kernel: index arithmetic over a flat row-major buffer is the
 // clearest way to express simplex pivots, so the indexing-style lint is

@@ -339,10 +339,10 @@ fn run_smoke(config: ServerConfig) -> i32 {
     let oracle = SessionRegistry::new(ServiceConfig::default());
     let create = wire::parse_create(create_body).expect("smoke create body parses");
     oracle.create("smoke", create).expect("oracle create");
-    let oracle_explain = oracle.explain("smoke", None).expect("oracle explain");
-    let (left, right) = oracle.shapes("smoke").expect("oracle shapes");
+    let oracle_explain = oracle.explain("smoke", None, None).expect("oracle explain");
+    let (left, right, _) = oracle.shapes("smoke").expect("oracle shapes");
     let parsed = wire::parse_delta(delta_body, &left, &right).expect("smoke delta parses");
-    let oracle_delta = oracle.delta("smoke", parsed.delta, parsed.deadline).expect("oracle delta");
+    let oracle_delta = oracle.delta("smoke", parsed, None, None).expect("oracle delta");
 
     // The wire side: a real server on an ephemeral port.
     let server = match Server::bind(config) {

@@ -980,7 +980,7 @@ fn route(
         ("POST", Some("explain")) => {
             let deadline = wire::parse_explain(&req.body)?;
             let tctx = trace.map(|trace| TraceCtx { trace, parent });
-            let report = registry.explain_traced(name, deadline, tctx)?;
+            let report = registry.explain(name, deadline, tctx)?;
             Ok(RouteReply::json_text(report.body(0, registry.durability_status(name)?, false)?))
         }
         ("POST", Some("delta")) => {
@@ -988,17 +988,10 @@ fn route(
             // pins them to the same underlying session incarnation, so a
             // concurrent drop + re-create with different shapes becomes a
             // typed 409 instead of a delta parsed against stale shapes.
-            let (left, right, token) = registry.shapes_tagged(name)?;
+            let (left, right, token) = registry.shapes(name)?;
             let parsed = wire::parse_delta(&req.body, &left, &right)?;
             let tctx = trace.map(|trace| TraceCtx { trace, parent });
-            let outcome = registry.delta_traced(
-                name,
-                parsed.delta,
-                parsed.deadline,
-                Some(token),
-                parsed.request_id,
-                tctx,
-            )?;
+            let outcome = registry.delta(name, parsed, Some(token), tctx)?;
             let body = outcome.report.body(
                 outcome.coalesced_with,
                 outcome.durability,

@@ -55,7 +55,7 @@
 //!   "match": {"left": "k", "right": "k"}
 //! }"#).unwrap();
 //! registry.create("demo", create).unwrap();
-//! let report = registry.explain("demo", None).unwrap();
+//! let report = registry.explain("demo", None, None).unwrap();
 //! assert!(report.complete);
 //! ```
 //!

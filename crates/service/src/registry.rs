@@ -121,7 +121,7 @@
 
 use crate::error::ServiceError;
 use crate::telemetry::{Telemetry, TraceCtx};
-use crate::wire::{CreateRequest, RelationShape, ServedReport};
+use crate::wire::{CreateRequest, DeltaRequest, RelationShape, ServedReport};
 use explain3d_core::pipeline::PipelineStats;
 use explain3d_durability::{
     DurabilityConfig, DurabilityError, RecoveredSession, SessionSnapshot, SessionStore, WalRecord,
@@ -511,8 +511,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The token [`SessionRegistry::shapes_tagged`] hands out and
-/// [`SessionRegistry::delta_checked`] validates: a hash of both relation
+/// The token [`SessionRegistry::shapes`] hands out and
+/// [`SessionRegistry::delta`] validates: a hash of both relation
 /// shapes. A session re-created with *different* shapes gets a different
 /// token, so a delta parsed against the old shapes is refused with a
 /// typed conflict instead of being applied to relations it was never
@@ -1387,40 +1387,24 @@ impl SessionRegistry {
     }
 
     /// The wire shapes of a session's two relations (for parsing delta
-    /// tuples without locking the session).
-    pub fn shapes(&self, name: &str) -> Result<(RelationShape, RelationShape), ServiceError> {
-        let slot = self.slot(name)?;
-        Ok((slot.left_shape.clone(), slot.right_shape.clone()))
-    }
-
-    /// Like [`SessionRegistry::shapes`], plus the shape token to pass to
-    /// [`SessionRegistry::delta_checked`]: a delta parsed against these
-    /// shapes is applied only while the session still *has* these shapes,
-    /// closing the lookup/apply race with a concurrent drop + re-create.
-    pub fn shapes_tagged(
-        &self,
-        name: &str,
-    ) -> Result<(RelationShape, RelationShape, u64), ServiceError> {
+    /// tuples without locking the session), plus the shape token to pass
+    /// to [`SessionRegistry::delta`]: a delta parsed against these shapes
+    /// is applied only while the session still *has* these shapes, closing
+    /// the lookup/apply race with a concurrent drop + re-create.
+    pub fn shapes(&self, name: &str) -> Result<(RelationShape, RelationShape, u64), ServiceError> {
         let slot = self.slot(name)?;
         Ok((slot.left_shape.clone(), slot.right_shape.clone(), slot.shape_token))
     }
 
     /// Runs a cold `explain` on the named session, returning (and storing)
     /// the report. `deadline` scopes a MILP deadline override to this run.
+    ///
+    /// When `tctx` is set, `acquire`, `explain_run` (with per-stage
+    /// children), and `snapshot` spans land under the given parent. Span
+    /// intervals are captured as plain integers while the session lock is
+    /// held; every **metric** observation happens after the lock is
+    /// released.
     pub fn explain(
-        &self,
-        name: &str,
-        deadline: Option<Duration>,
-    ) -> Result<Arc<ServedReport>, ServiceError> {
-        self.explain_traced(name, deadline, None)
-    }
-
-    /// [`SessionRegistry::explain`] with optional span recording: when
-    /// `tctx` is set, `acquire`, `explain_run` (with per-stage children),
-    /// and `snapshot` spans land under the given parent. Span intervals
-    /// are captured as plain integers while the session lock is held;
-    /// every **metric** observation happens after the lock is released.
-    pub fn explain_traced(
         &self,
         name: &str,
         deadline: Option<Duration>,
@@ -1507,75 +1491,43 @@ impl SessionRegistry {
     }
 
     /// Applies a delta (possibly coalesced with concurrently queued ones)
-    /// and returns the resulting report.
+    /// and returns the resulting report. `request.deadline` scopes a MILP
+    /// deadline override to the run that applies it.
+    ///
+    /// - **Shape check.** When `expected_shape` carries the token a prior
+    ///   [`SessionRegistry::shapes`] returned, the delta is applied only
+    ///   if the session (whatever its incarnation) still has those shapes
+    ///   — [`ServiceError::ShapeConflict`] otherwise. The check sits
+    ///   inside the slot-acquisition loop, so a drop + re-create racing
+    ///   this call either loses (the ticket landed on the old slot, which
+    ///   the registration re-check withdraws) or is caught against the
+    ///   fresh slot's token.
+    /// - **Idempotency.** When `request.request_id` is set and the session
+    ///   has already applied a delta under the same id (it is in the retry
+    ///   window), the delta is **not** re-applied — the current report is
+    ///   returned with [`DeltaOutcome::deduplicated`] set. This is the
+    ///   exactly-once retry contract; see the module docs.
+    /// - **Tracing.** When `tctx` is set, a `pending_wait` span (enqueue →
+    ///   outcome) is recorded under the given parent, with `re_explain` /
+    ///   `wal_append` / `fsync` children reconstructed from the outcome's
+    ///   [`RunTimings`] (those intervals ran on whichever thread drained
+    ///   the queue; they are laid back-to-back ending at the wait end).
+    ///   Metric observations happen on this waiter thread with **no lock
+    ///   held** — the timings travel out through the ticket cell.
     pub fn delta(
         &self,
         name: &str,
-        delta: RelationDelta,
-        deadline: Option<Duration>,
-    ) -> Result<DeltaOutcome, ServiceError> {
-        self.delta_tagged(name, delta, deadline, None, None)
-    }
-
-    /// [`SessionRegistry::delta`] with shape validation: when `expected`
-    /// carries the token a prior [`SessionRegistry::shapes_tagged`]
-    /// returned, the delta is applied only if the session (whatever its
-    /// incarnation) still has those shapes —
-    /// [`ServiceError::ShapeConflict`] otherwise. The check sits inside
-    /// the slot-acquisition loop, so a drop + re-create racing this call
-    /// either loses (the ticket landed on the old slot, which the
-    /// registration re-check withdraws) or is caught against the fresh
-    /// slot's token.
-    pub fn delta_checked(
-        &self,
-        name: &str,
-        delta: RelationDelta,
-        deadline: Option<Duration>,
-        expected: Option<u64>,
-    ) -> Result<DeltaOutcome, ServiceError> {
-        self.delta_tagged(name, delta, deadline, expected, None)
-    }
-
-    /// [`SessionRegistry::delta_checked`] plus an idempotency key: when
-    /// `request_id` is set and the session has already applied a delta
-    /// under the same id (it is in the retry window), the delta is **not**
-    /// re-applied — the current report is returned with
-    /// [`DeltaOutcome::deduplicated`] set. This is the exactly-once retry
-    /// contract; see the module docs.
-    pub fn delta_tagged(
-        &self,
-        name: &str,
-        delta: RelationDelta,
-        deadline: Option<Duration>,
-        expected: Option<u64>,
-        request_id: Option<String>,
-    ) -> Result<DeltaOutcome, ServiceError> {
-        self.delta_traced(name, delta, deadline, expected, request_id, None)
-    }
-
-    /// [`SessionRegistry::delta_tagged`] with optional span recording:
-    /// when `tctx` is set, a `pending_wait` span (enqueue → outcome) is
-    /// recorded under the given parent, with `re_explain` / `wal_append` /
-    /// `fsync` children reconstructed from the outcome's [`RunTimings`]
-    /// (those intervals ran on whichever thread drained the queue; they
-    /// are laid back-to-back ending at the wait end). Metric observations
-    /// happen on this waiter thread with **no lock held** — the timings
-    /// travel out through the ticket cell.
-    pub fn delta_traced(
-        &self,
-        name: &str,
-        delta: RelationDelta,
-        deadline: Option<Duration>,
-        expected: Option<u64>,
-        request_id: Option<String>,
+        request: DeltaRequest,
+        expected_shape: Option<u64>,
         mut tctx: Option<TraceCtx<'_>>,
     ) -> Result<DeltaOutcome, ServiceError> {
+        let DeltaRequest { delta, deadline, request_id } = request;
         let wait_started = self.config.telemetry.as_ref().map(|_| Instant::now());
         let wait_start_us = tctx.as_ref().map(|c| c.trace.now_us());
         let cell = Arc::new(TicketCell::default());
         let slot = loop {
             let slot = self.slot(name)?;
-            if expected.is_some_and(|token| token != slot.shape_token) {
+            if expected_shape.is_some_and(|token| token != slot.shape_token) {
                 return Err(ServiceError::ShapeConflict(name.to_string()));
             }
             {
@@ -2331,10 +2283,15 @@ mod tests {
             Err(ServiceError::SessionExists(_))
         ));
         assert!(matches!(registry.report("s1"), Err(ServiceError::NoReport(_))));
-        let first = registry.explain("s1", None).unwrap();
+        let first = registry.explain("s1", None, None).unwrap();
         assert!(first.complete);
         let outcome = registry
-            .delta("s1", RelationDelta::new().insert(Side::Right, tuple("b", 2.0)), None)
+            .delta(
+                "s1",
+                RelationDelta::new().insert(Side::Right, tuple("b", 2.0)).into(),
+                None,
+                None,
+            )
             .unwrap();
         assert_eq!(outcome.coalesced_with, 0);
         let stored = registry.report("s1").unwrap();
@@ -2357,7 +2314,7 @@ mod tests {
         registry
             .create("s", request(&[("a", 1.0), ("b", 2.0), ("c", 1.0)], &[("a", 1.0)]))
             .unwrap();
-        registry.explain("s", None).unwrap();
+        registry.explain("s", None, None).unwrap();
         let deltas = [
             RelationDelta::new().insert(Side::Right, tuple("b", 1.0)),
             RelationDelta::new().update(Side::Right, 0, tuple("a", 2.0)),
@@ -2396,10 +2353,10 @@ mod tests {
 
         let serial = SessionRegistry::new(ServiceConfig::default());
         serial.create("s", request(&[("a", 1.0), ("b", 2.0), ("c", 1.0)], &[("a", 1.0)])).unwrap();
-        serial.explain("s", None).unwrap();
+        serial.explain("s", None, None).unwrap();
         let mut last = None;
         for d in &deltas {
-            last = Some(serial.delta("s", d.clone(), None).unwrap());
+            last = Some(serial.delta("s", d.clone().into(), None, None).unwrap());
         }
         assert_eq!(
             fingerprint(&outcomes[0].report),
@@ -2412,7 +2369,7 @@ mod tests {
     fn failed_merge_replays_individually() {
         let registry = SessionRegistry::new(ServiceConfig::default());
         registry.create("s", request(&[("a", 1.0), ("b", 1.0)], &[("a", 1.0)])).unwrap();
-        registry.explain("s", None).unwrap();
+        registry.explain("s", None, None).unwrap();
         let good = RelationDelta::new().insert(Side::Right, tuple("b", 1.0));
         let bad = RelationDelta::new().delete(Side::Left, 99);
         let slot = registry.slot("s").unwrap();
@@ -2451,8 +2408,8 @@ mod tests {
         // Final state equals serial: good applied, bad rejected.
         let serial = SessionRegistry::new(ServiceConfig::default());
         serial.create("s", request(&[("a", 1.0), ("b", 1.0)], &[("a", 1.0)])).unwrap();
-        serial.explain("s", None).unwrap();
-        let serial_outcome = serial.delta("s", good, None).unwrap();
+        serial.explain("s", None, None).unwrap();
+        let serial_outcome = serial.delta("s", good.into(), None, None).unwrap();
         assert_eq!(
             fingerprint(&registry.report("s").unwrap()),
             fingerprint(&serial_outcome.report)
@@ -2465,7 +2422,7 @@ mod tests {
         // and a half of them: the third explain must evict exactly the LRU.
         let probe = SessionRegistry::new(ServiceConfig::default());
         probe.create("p", request(&[("x", 1.0), ("y", 2.0)], &[("x", 1.0)])).unwrap();
-        probe.explain("p", None).unwrap();
+        probe.explain("p", None, None).unwrap();
         let per_session = probe.total_footprint();
         assert!(per_session > 0);
 
@@ -2475,16 +2432,16 @@ mod tests {
         });
         for name in ["a", "b", "c"] {
             registry.create(name, request(&[("x", 1.0), ("y", 2.0)], &[("x", 1.0)])).unwrap();
-            registry.explain(name, None).unwrap();
+            registry.explain(name, None, None).unwrap();
         }
         let names: Vec<String> = registry.list().into_iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["b", "c"], "LRU \"a\" must be evicted");
         assert_eq!(registry.stats().evictions, 1);
         // The evicted session answers NotFound; re-creating round-trips to
         // the same fingerprint as the survivor sessions' creation path.
-        assert!(matches!(registry.explain("a", None), Err(ServiceError::SessionNotFound(_))));
+        assert!(matches!(registry.explain("a", None, None), Err(ServiceError::SessionNotFound(_))));
         registry.create("a", request(&[("x", 1.0), ("y", 2.0)], &[("x", 1.0)])).unwrap();
-        let recreated = registry.explain("a", None).unwrap();
+        let recreated = registry.explain("a", None, None).unwrap();
         // That explain re-enforced the budget, evicting the next LRU ("b");
         // "c" survives alongside the re-created "a" and their identical
         // relations produce identical fingerprints.
@@ -2497,14 +2454,15 @@ mod tests {
         let registry =
             SessionRegistry::new(ServiceConfig { record_deltas: true, ..ServiceConfig::default() });
         registry.create("s", request(&[("a", 1.0)], &[("a", 1.0)])).unwrap();
-        registry.explain("s", None).unwrap();
+        registry.explain("s", None, None).unwrap();
         registry
-            .delta("s", RelationDelta::new().insert(Side::Left, tuple("b", 1.0)), None)
+            .delta("s", RelationDelta::new().insert(Side::Left, tuple("b", 1.0)).into(), None, None)
             .unwrap();
-        let err =
-            registry.delta("s", RelationDelta::new().delete(Side::Left, 9), None).unwrap_err();
+        let err = registry
+            .delta("s", RelationDelta::new().delete(Side::Left, 9).into(), None, None)
+            .unwrap_err();
         assert!(matches!(err, ServiceError::Delta(_)));
-        registry.delta("s", RelationDelta::new().delete(Side::Left, 1), None).unwrap();
+        registry.delta("s", RelationDelta::new().delete(Side::Left, 1).into(), None, None).unwrap();
         let log = registry.delta_log("s").unwrap();
         assert_eq!(log.len(), 2, "failed deltas are not logged");
         assert_eq!(log[0].ops.len(), 1);
@@ -2518,7 +2476,7 @@ mod tests {
         // worker panic.
         let registry = SessionRegistry::new(ServiceConfig::default());
         registry.create("e", request(&[], &[])).unwrap();
-        let report = registry.explain("e", None).unwrap();
+        let report = registry.explain("e", None, None).unwrap();
         assert!(report.complete);
         assert!(report.explanations.is_empty());
         // Grow from empty…
@@ -2527,24 +2485,32 @@ mod tests {
                 "e",
                 RelationDelta::new()
                     .insert(Side::Left, tuple("a", 1.0))
-                    .insert(Side::Right, tuple("a", 1.0)),
+                    .insert(Side::Right, tuple("a", 1.0))
+                    .into(),
+                None,
                 None,
             )
             .unwrap();
         assert!(grown.report.complete);
         // …drain back to empty…
         let drained = registry
-            .delta("e", RelationDelta::new().delete(Side::Left, 0).delete(Side::Right, 0), None)
+            .delta(
+                "e",
+                RelationDelta::new().delete(Side::Left, 0).delete(Side::Right, 0).into(),
+                None,
+                None,
+            )
             .unwrap();
         assert!(drained.report.complete);
         assert!(drained.report.explanations.is_empty());
         // …and deltas against the empty state still type their errors.
-        let err =
-            registry.delta("e", RelationDelta::new().delete(Side::Left, 0), None).unwrap_err();
+        let err = registry
+            .delta("e", RelationDelta::new().delete(Side::Left, 0).into(), None, None)
+            .unwrap_err();
         assert!(matches!(err, ServiceError::Delta(_)));
         // One-sided emptiness explains everything on the populated side.
         registry.create("one", request(&[("a", 1.0), ("b", 1.0)], &[])).unwrap();
-        let one = registry.explain("one", None).unwrap();
+        let one = registry.explain("one", None, None).unwrap();
         assert!(one.complete);
         assert_eq!(one.explanations.len(), 2);
     }
@@ -2566,7 +2532,7 @@ mod tests {
         // the exact report it last served.
         let probe = SessionRegistry::new(ServiceConfig::default());
         probe.create("p", request(&[("x", 1.0), ("y", 2.0)], &[("x", 1.0)])).unwrap();
-        probe.explain("p", None).unwrap();
+        probe.explain("p", None, None).unwrap();
         let per_session = probe.total_footprint();
 
         let (dir, mut config) = durable_config("spill");
@@ -2574,7 +2540,7 @@ mod tests {
         let registry = SessionRegistry::new(config);
         for name in ["a", "b", "c"] {
             registry.create(name, request(&[("x", 1.0), ("y", 2.0)], &[("x", 1.0)])).unwrap();
-            registry.explain(name, None).unwrap();
+            registry.explain(name, None, None).unwrap();
         }
         let expected = fingerprint(&registry.report("c").unwrap());
         let resident: Vec<String> = registry.list().into_iter().map(|s| s.name).collect();
@@ -2614,10 +2580,10 @@ mod tests {
             registry
                 .create("s", request(&[("a", 1.0), ("b", 2.0), ("c", 1.0)], &[("a", 1.0)]))
                 .unwrap();
-            registry.explain("s", None).unwrap();
+            registry.explain("s", None, None).unwrap();
             let mut last = None;
             for d in &deltas {
-                last = Some(registry.delta("s", d.clone(), None).unwrap().report);
+                last = Some(registry.delta("s", d.clone().into(), None, None).unwrap().report);
             }
             assert_eq!(
                 registry.list().iter().find(|s| s.name == "s").unwrap().deltas_logged,
@@ -2633,7 +2599,7 @@ mod tests {
         assert_eq!(recovered.stats().recoveries, 1);
         // The recovered session keeps serving (and logging) deltas.
         recovered
-            .delta("s", RelationDelta::new().insert(Side::Left, tuple("d", 1.0)), None)
+            .delta("s", RelationDelta::new().insert(Side::Left, tuple("d", 1.0)).into(), None, None)
             .unwrap();
         assert_eq!(recovered.list().iter().find(|s| s.name == "s").unwrap().deltas_logged, 4);
         // Dropping a durable session removes its disk state too.
@@ -2648,7 +2614,7 @@ mod tests {
         {
             let registry = SessionRegistry::new(config.clone());
             registry.create("s", request(&[("a", 1.0)], &[("a", 1.0)])).unwrap();
-            registry.explain("s", None).unwrap();
+            registry.explain("s", None, None).unwrap();
         }
         // Non-resident ("spilled" across process lifetimes): drop by name.
         let registry = SessionRegistry::new(config);
@@ -2666,15 +2632,15 @@ mod tests {
         // against.
         let registry = SessionRegistry::new(ServiceConfig::default());
         registry.create("s", request(&[("a", 1.0)], &[("a", 1.0)])).unwrap();
-        registry.explain("s", None).unwrap();
-        let (_, _, token) = registry.shapes_tagged("s").unwrap();
+        registry.explain("s", None, None).unwrap();
+        let (_, _, token) = registry.shapes("s").unwrap();
         // Same incarnation: the token validates and the delta applies.
         registry
-            .delta_checked(
+            .delta(
                 "s",
-                RelationDelta::new().insert(Side::Right, tuple("b", 1.0)),
-                None,
+                RelationDelta::new().insert(Side::Right, tuple("b", 1.0)).into(),
                 Some(token),
+                None,
             )
             .unwrap();
         // Re-create with a different schema.
@@ -2696,25 +2662,25 @@ mod tests {
                 },
             )
             .unwrap();
-        registry.explain("s", None).unwrap();
-        let stale = registry.delta_checked(
+        registry.explain("s", None, None).unwrap();
+        let stale = registry.delta(
             "s",
-            RelationDelta::new().insert(Side::Right, tuple("c", 1.0)),
-            None,
+            RelationDelta::new().insert(Side::Right, tuple("c", 1.0)).into(),
             Some(token),
+            None,
         );
         assert!(matches!(stale, Err(ServiceError::ShapeConflict(_))), "got {stale:?}");
         assert_eq!(ServiceError::ShapeConflict("s".into()).http_status().0, 409);
         // An untagged delta (no token) still applies — validation is
         // opt-in, and the fresh token round-trips.
-        let (_, _, fresh) = registry.shapes_tagged("s").unwrap();
+        let (_, _, fresh) = registry.shapes("s").unwrap();
         assert_ne!(fresh, token, "different shapes must produce a different token");
         registry
-            .delta_checked(
+            .delta(
                 "s",
-                RelationDelta::new().insert(Side::Right, tuple("c", 1.0)),
-                None,
+                RelationDelta::new().insert(Side::Right, tuple("c", 1.0)).into(),
                 Some(fresh),
+                None,
             )
             .unwrap();
     }
@@ -2726,7 +2692,7 @@ mod tests {
             ..ServiceConfig::default()
         }));
         registry.create("s", request(&[("a", 1.0), ("b", 2.0)], &[("a", 1.0)])).unwrap();
-        registry.explain("s", None).unwrap();
+        registry.explain("s", None, None).unwrap();
         let barrier = Arc::new(std::sync::Barrier::new(4));
         let handles: Vec<_> = (0..4)
             .map(|i| {
@@ -2736,7 +2702,10 @@ mod tests {
                     barrier.wait();
                     registry.delta(
                         "s",
-                        RelationDelta::new().insert(Side::Right, tuple(&format!("t{i}"), 1.0)),
+                        RelationDelta::new()
+                            .insert(Side::Right, tuple(&format!("t{i}"), 1.0))
+                            .into(),
+                        None,
                         None,
                     )
                 })
@@ -2759,7 +2728,7 @@ mod tests {
         // choice), and the budget must apply to the global total.
         let probe = SessionRegistry::new(ServiceConfig::default());
         probe.create("p", request(&[("x", 1.0), ("y", 2.0)], &[("x", 1.0)])).unwrap();
-        probe.explain("p", None).unwrap();
+        probe.explain("p", None, None).unwrap();
         let per_session = probe.total_footprint();
 
         let registry = SessionRegistry::new(ServiceConfig {
@@ -2770,7 +2739,7 @@ mod tests {
         assert_eq!(registry.stats().shards, 64);
         for name in ["a", "b", "c"] {
             registry.create(name, request(&[("x", 1.0), ("y", 2.0)], &[("x", 1.0)])).unwrap();
-            registry.explain(name, None).unwrap();
+            registry.explain(name, None, None).unwrap();
         }
         let names: Vec<String> = registry.list().into_iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["b", "c"], "globally-LRU \"a\" must be evicted across shards");
@@ -2813,11 +2782,16 @@ mod tests {
         let (dir, config, shim) = faulty_durable_config("degrade", wal_killer());
         let registry = SessionRegistry::new(config.clone());
         registry.create("s", request(&[("a", 1.0), ("b", 2.0)], &[("a", 1.0)])).unwrap();
-        registry.explain("s", None).unwrap();
+        registry.explain("s", None, None).unwrap();
         shim.arm();
         // The WAL append fails, but best-effort keeps serving — labelled.
         let degraded = registry
-            .delta("s", RelationDelta::new().insert(Side::Right, tuple("b", 2.0)), None)
+            .delta(
+                "s",
+                RelationDelta::new().insert(Side::Right, tuple("b", 2.0)).into(),
+                None,
+                None,
+            )
             .unwrap();
         assert_eq!(degraded.durability, Some("degraded"));
         let stats = registry.stats();
@@ -2827,7 +2801,7 @@ mod tests {
         // The next drain re-attaches (fresh snapshot of the in-memory
         // state over the stale image), then logs normally.
         let healed = registry
-            .delta("s", RelationDelta::new().insert(Side::Left, tuple("c", 1.0)), None)
+            .delta("s", RelationDelta::new().insert(Side::Left, tuple("c", 1.0)).into(), None, None)
             .unwrap();
         assert_eq!(healed.durability, Some("reconciled"));
         let stats = registry.stats();
@@ -2848,26 +2822,23 @@ mod tests {
         config.record_deltas = true;
         let registry = SessionRegistry::new(config.clone());
         registry.create("s", request(&[("a", 1.0), ("b", 2.0)], &[("a", 1.0)])).unwrap();
-        registry.explain("s", None).unwrap();
+        registry.explain("s", None, None).unwrap();
         shim.arm();
         let delta = RelationDelta::new().insert(Side::Right, tuple("b", 2.0));
-        let refused = registry
-            .delta_tagged("s", delta.clone(), None, None, Some("req-1".into()))
-            .unwrap_err();
+        let retry =
+            DeltaRequest { delta: delta.clone(), deadline: None, request_id: Some("req-1".into()) };
+        let refused = registry.delta("s", retry.clone(), None, None).unwrap_err();
         assert!(matches!(refused, ServiceError::DurabilityUnavailable(_)), "got {refused:?}");
         assert_eq!(refused.http_status().0, 503);
         // Still degraded (re-attach keeps failing): the retry is refused
         // too — an ack, even a dedup ack, would promise durability strict
         // mode cannot give yet.
-        let still = registry
-            .delta_tagged("s", delta.clone(), None, None, Some("req-1".into()))
-            .unwrap_err();
+        let still = registry.delta("s", retry.clone(), None, None).unwrap_err();
         assert!(matches!(still, ServiceError::DurabilityUnavailable(_)), "got {still:?}");
         shim.disarm();
         // Storage healed: re-attach succeeds and the retry is answered
         // from the dedup window — applied exactly once.
-        let acked =
-            registry.delta_tagged("s", delta.clone(), None, None, Some("req-1".into())).unwrap();
+        let acked = registry.delta("s", retry.clone(), None, None).unwrap();
         assert!(acked.deduplicated, "retry must not re-apply");
         assert_eq!(acked.durability, Some("reconciled"));
         assert_eq!(registry.delta_log("s").unwrap().len(), 1, "applied exactly once");
@@ -2875,15 +2846,14 @@ mod tests {
         // Fingerprint pinned to serial execution of a single apply.
         let oracle = SessionRegistry::new(ServiceConfig::default());
         oracle.create("s", request(&[("a", 1.0), ("b", 2.0)], &[("a", 1.0)])).unwrap();
-        oracle.explain("s", None).unwrap();
-        let serial = oracle.delta("s", delta.clone(), None).unwrap();
+        oracle.explain("s", None, None).unwrap();
+        let serial = oracle.delta("s", delta.into(), None, None).unwrap();
         assert_eq!(fingerprint(&acked.report), fingerprint(&serial.report));
         // Restart: the retry window survives recovery (it is in the
         // re-attach snapshot), so the same request_id still dedupes.
         drop(registry);
         let recovered = SessionRegistry::new(config);
-        let replayed =
-            recovered.delta_tagged("s", delta, None, None, Some("req-1".into())).unwrap();
+        let replayed = recovered.delta("s", retry, None, None).unwrap();
         assert!(replayed.deduplicated, "window must survive recovery");
         assert_eq!(fingerprint(&replayed.report), fingerprint(&serial.report));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2895,7 +2865,7 @@ mod tests {
         {
             let registry = SessionRegistry::new(config.clone());
             registry.create("s", request(&[("a", 1.0)], &[("a", 1.0)])).unwrap();
-            registry.explain("s", None).unwrap();
+            registry.explain("s", None, None).unwrap();
         }
         let sdir = dir.join(explain3d_durability::session_dirname("s"));
         std::fs::write(sdir.join(explain3d_durability::SNAPSHOT_FILE), b"garbage").unwrap();
@@ -2914,7 +2884,7 @@ mod tests {
         assert!(!sdir.exists());
         // …and the name is creatable again.
         registry.create("s", request(&[("a", 1.0)], &[("a", 1.0)])).unwrap();
-        registry.explain("s", None).unwrap();
+        registry.explain("s", None, None).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2925,9 +2895,14 @@ mod tests {
         {
             let registry = SessionRegistry::new(config.clone());
             registry.create("s", request(&[("a", 1.0)], &[("a", 1.0)])).unwrap();
-            registry.explain("s", None).unwrap();
+            registry.explain("s", None, None).unwrap();
             registry
-                .delta("s", RelationDelta::new().insert(Side::Right, tuple("b", 1.0)), None)
+                .delta(
+                    "s",
+                    RelationDelta::new().insert(Side::Right, tuple("b", 1.0)).into(),
+                    None,
+                    None,
+                )
                 .unwrap();
         }
         let path = dir.join(explain3d_durability::session_dirname("s")).join(file);
@@ -2986,7 +2961,7 @@ mod tests {
         let registry =
             SessionRegistry::new(ServiceConfig { record_deltas: true, ..ServiceConfig::default() });
         registry.create("s", request(&[("a", 1.0), ("b", 2.0)], &[("a", 1.0)])).unwrap();
-        registry.explain("s", None).unwrap();
+        registry.explain("s", None, None).unwrap();
         let delta = RelationDelta::new().insert(Side::Right, tuple("b", 2.0));
         let slot = registry.slot("s").unwrap();
         let cells: Vec<Arc<TicketCell>> = (0..2).map(|_| Arc::new(TicketCell::default())).collect();
@@ -3044,8 +3019,8 @@ mod tests {
         let registry = SessionRegistry::new(ServiceConfig::default());
         registry.create("s", request(&[("a", 1.0), ("b", 2.0)], &[("a", 1.0)])).unwrap();
         // Same deadline → same deterministic node budget → same report.
-        let with_deadline = registry.explain("s", Some(Duration::from_millis(500))).unwrap();
-        let default_again = registry.explain("s", None).unwrap();
+        let with_deadline = registry.explain("s", Some(Duration::from_millis(500)), None).unwrap();
+        let default_again = registry.explain("s", None, None).unwrap();
         assert!(with_deadline.complete && default_again.complete);
         assert_eq!(fingerprint(&with_deadline), fingerprint(&default_again));
     }

@@ -102,6 +102,13 @@ pub struct DeltaRequest {
     pub request_id: Option<String>,
 }
 
+impl From<RelationDelta> for DeltaRequest {
+    /// A request for `delta` alone: no deadline override, no request id.
+    fn from(delta: RelationDelta) -> Self {
+        DeltaRequest { delta, deadline: None, request_id: None }
+    }
+}
+
 /// Hard cap on `request_id` length — it is stored per session in the
 /// retry window and logged with every WAL record.
 pub const MAX_REQUEST_ID_BYTES: usize = 128;

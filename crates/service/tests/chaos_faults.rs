@@ -20,7 +20,7 @@ use explain3d_incremental::report_fingerprint;
 use explain3d_service::client::{RetryClient, RetryPolicy};
 use explain3d_service::json::Json;
 use explain3d_service::registry::{DurabilityMode, ServiceConfig, SessionRegistry};
-use explain3d_service::wire::{self, ServedReport};
+use explain3d_service::wire::{self, DeltaRequest, ServedReport};
 use explain3d_service::ServiceError;
 use std::io::BufRead;
 use std::net::SocketAddr;
@@ -97,11 +97,11 @@ fn delta_body(i: usize) -> String {
 fn oracle_reports(n: usize) -> Vec<Arc<ServedReport>> {
     let oracle = SessionRegistry::new(ServiceConfig::default());
     oracle.create("s", wire::parse_create(CREATE_BODY).unwrap()).unwrap();
-    let mut reports = vec![oracle.explain("s", None).unwrap()];
+    let mut reports = vec![oracle.explain("s", None, None).unwrap()];
     for i in 0..n {
-        let (left, right) = oracle.shapes("s").unwrap();
+        let (left, right, _) = oracle.shapes("s").unwrap();
         let parsed = wire::parse_delta(&delta_body(i), &left, &right).unwrap();
-        reports.push(oracle.delta("s", parsed.delta, parsed.deadline).unwrap().report);
+        reports.push(oracle.delta("s", parsed, None, None).unwrap().report);
     }
     reports
 }
@@ -117,9 +117,9 @@ fn apply_script_delta(
     i: usize,
     request_id: Option<String>,
 ) -> Result<explain3d_service::DeltaOutcome, ServiceError> {
-    let (left, right) = registry.shapes("s").unwrap();
+    let (left, right, _) = registry.shapes("s").unwrap();
     let parsed = wire::parse_delta(&delta_body(i), &left, &right).unwrap();
-    registry.delta_tagged("s", parsed.delta, parsed.deadline, None, request_id)
+    registry.delta("s", DeltaRequest { request_id, ..parsed }, None, None)
 }
 
 // ---------------------------------------------------------------------
@@ -168,7 +168,7 @@ fn best_effort_keeps_serving_correct_fingerprints_through_chaos() {
 
     let registry = SessionRegistry::new(config.clone());
     registry.create("s", wire::parse_create(CREATE_BODY).unwrap()).unwrap();
-    let fp = report_fingerprint(&registry.explain("s", None).unwrap());
+    let fp = report_fingerprint(&registry.explain("s", None, None).unwrap());
     assert_eq!(fp, report_fingerprint(&oracle[0]), "seed {seed}: cold explain diverged");
 
     shim.arm();
@@ -262,7 +262,7 @@ fn strict_mode_never_loses_an_acked_delta_under_chaos() {
 
     let registry = SessionRegistry::new(config.clone());
     registry.create("s", wire::parse_create(CREATE_BODY).unwrap()).unwrap();
-    registry.explain("s", None).unwrap();
+    registry.explain("s", None, None).unwrap();
 
     shim.arm();
     let mut acked = 0usize;
@@ -341,7 +341,7 @@ fn duplicated_request_ids_apply_exactly_once() {
     let registry =
         SessionRegistry::new(ServiceConfig { record_deltas: true, ..ServiceConfig::default() });
     registry.create("s", wire::parse_create(CREATE_BODY).unwrap()).unwrap();
-    registry.explain("s", None).unwrap();
+    registry.explain("s", None, None).unwrap();
 
     let mut sends = 0usize;
     for i in 0..DELTAS {

@@ -50,9 +50,9 @@ fn create(registry: &SessionRegistry, name: &str) {
 }
 
 fn apply(registry: &SessionRegistry, name: &str, body: &str) -> Vec<u8> {
-    let (left, right) = registry.shapes(name).unwrap();
+    let (left, right, _) = registry.shapes(name).unwrap();
     let parsed = wire::parse_delta(body, &left, &right).unwrap();
-    let outcome = registry.delta(name, parsed.delta, parsed.deadline).unwrap();
+    let outcome = registry.delta(name, parsed, None, None).unwrap();
     report_fingerprint(&outcome.report)
 }
 
@@ -61,7 +61,7 @@ fn apply(registry: &SessionRegistry, name: &str, body: &str) -> Vec<u8> {
 fn oracle_fingerprint(deltas: &[&str]) -> Vec<u8> {
     let oracle = SessionRegistry::new(ServiceConfig::default());
     create(&oracle, "s");
-    let mut fp = report_fingerprint(&oracle.explain("s", None).unwrap());
+    let mut fp = report_fingerprint(&oracle.explain("s", None, None).unwrap());
     for body in deltas {
         fp = apply(&oracle, "s", body);
     }
@@ -80,7 +80,7 @@ fn empty_log_recovery_of_an_unexplained_session() {
     // The session is recoverable but has no report yet — exactly like the
     // never-crashed state.
     assert!(matches!(recovered.report("s"), Err(ServiceError::NoReport(_))));
-    let fp = report_fingerprint(&recovered.explain("s", None).unwrap());
+    let fp = report_fingerprint(&recovered.explain("s", None, None).unwrap());
     assert_eq!(fp, oracle_fingerprint(&[]));
     assert_eq!(recovered.stats().recoveries, 1);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -94,7 +94,7 @@ fn snapshot_only_recovery_when_every_delta_snapshots() {
     {
         let registry = SessionRegistry::new(durable(&dir, 1));
         create(&registry, "s");
-        registry.explain("s", None).unwrap();
+        registry.explain("s", None, None).unwrap();
         for body in DELTAS {
             apply(&registry, "s", body);
         }
@@ -113,7 +113,7 @@ fn log_only_recovery_when_the_cadence_is_never_reached() {
     {
         let registry = SessionRegistry::new(durable(&dir, u64::MAX));
         create(&registry, "s");
-        registry.explain("s", None).unwrap();
+        registry.explain("s", None, None).unwrap();
         for body in DELTAS {
             apply(&registry, "s", body);
         }
@@ -135,7 +135,7 @@ fn double_recovery_is_idempotent() {
     {
         let registry = SessionRegistry::new(durable(&dir, 3));
         create(&registry, "s");
-        registry.explain("s", None).unwrap();
+        registry.explain("s", None, None).unwrap();
         for body in DELTAS {
             apply(&registry, "s", body);
         }
@@ -156,7 +156,7 @@ fn spilled_session_recovers_and_keeps_serving() {
     // pre-spill + post-recovery delta sequence matches the oracle.
     let probe = SessionRegistry::new(ServiceConfig::default());
     create(&probe, "p");
-    probe.explain("p", None).unwrap();
+    probe.explain("p", None, None).unwrap();
     let per_session = probe.total_footprint();
 
     let dir = tempdir("spill");
@@ -164,7 +164,7 @@ fn spilled_session_recovers_and_keeps_serving() {
     config.memory_budget = Some(per_session * 5 / 2);
     let registry = SessionRegistry::new(config);
     create(&registry, "victim");
-    registry.explain("victim", None).unwrap();
+    registry.explain("victim", None, None).unwrap();
     let (pre, post) = DELTAS.split_at(2);
     for body in pre {
         apply(&registry, "victim", body);
@@ -172,7 +172,7 @@ fn spilled_session_recovers_and_keeps_serving() {
     // Two fresh sessions push "victim" out as the LRU.
     for name in ["f1", "f2"] {
         create(&registry, name);
-        registry.explain(name, None).unwrap();
+        registry.explain(name, None, None).unwrap();
     }
     assert!(registry.list().iter().all(|s| s.name != "victim"), "victim must have been evicted");
     assert!(registry.stats().spills >= 1);
@@ -199,7 +199,7 @@ fn concurrent_recovery_is_serialized_and_loses_no_acked_delta() {
     {
         let registry = SessionRegistry::new(durable(&dir, u64::MAX));
         create(&registry, "s");
-        registry.explain("s", None).unwrap();
+        registry.explain("s", None, None).unwrap();
         for body in DELTAS {
             apply(&registry, "s", body);
         }
@@ -248,7 +248,7 @@ fn delta_storm_under_eviction_pressure_keeps_the_wal_consistent() {
     const NAMES: [&str; 3] = ["a", "b", "c"];
     let probe = SessionRegistry::new(ServiceConfig::default());
     create(&probe, "p");
-    probe.explain("p", None).unwrap();
+    probe.explain("p", None, None).unwrap();
     let per_session = probe.total_footprint().max(1);
 
     let dir = tempdir("evictrace");
@@ -257,7 +257,7 @@ fn delta_storm_under_eviction_pressure_keeps_the_wal_consistent() {
     let registry = SessionRegistry::new(config);
     for name in NAMES {
         create(&registry, name);
-        registry.explain(name, None).unwrap();
+        registry.explain(name, None, None).unwrap();
     }
     std::thread::scope(|scope| {
         for t in 0..THREADS {

@@ -121,13 +121,11 @@ fn get(client: &mut Client, path: &str) -> Json {
 fn oracle_fingerprint(n: usize) -> String {
     let oracle = SessionRegistry::new(ServiceConfig::default());
     oracle.create("s", wire::parse_create(CREATE_BODY).unwrap()).unwrap();
-    let mut fp = wire::fingerprint_hex(&oracle.explain("s", None).unwrap());
+    let mut fp = wire::fingerprint_hex(&oracle.explain("s", None, None).unwrap());
     for i in 0..n {
-        let (left, right) = oracle.shapes("s").unwrap();
+        let (left, right, _) = oracle.shapes("s").unwrap();
         let parsed = wire::parse_delta(&delta_body(i), &left, &right).unwrap();
-        fp = wire::fingerprint_hex(
-            &oracle.delta("s", parsed.delta, parsed.deadline).unwrap().report,
-        );
+        fp = wire::fingerprint_hex(&oracle.delta("s", parsed, None, None).unwrap().report);
     }
     fp
 }

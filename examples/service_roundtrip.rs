@@ -38,7 +38,7 @@ fn main() {
     let create = wire::parse_create(create_body).expect("create body parses");
     registry.create("catalogs", create).expect("fresh name");
 
-    let first = registry.explain("catalogs", None).expect("session exists");
+    let first = registry.explain("catalogs", None, None).expect("session exists");
     println!(
         "cold explain: {} provenance + {} value explanations, complete: {}",
         first.explanations.provenance.len(),
@@ -48,14 +48,14 @@ fn main() {
 
     // The majors catalog catches up: Management appears, and CS is now
     // double-counted there too.
-    let (left, right) = registry.shapes("catalogs").expect("session exists");
+    let (left, right, _) = registry.shapes("catalogs").expect("session exists");
     let delta_body = r#"{"ops": [
         {"op": "insert", "side": "right", "tuple": {"values": ["Management"]}},
         {"op": "update", "side": "right", "index": 1,
          "tuple": {"values": ["CS"], "impact": 2.0}}
     ]}"#;
     let parsed = wire::parse_delta(delta_body, &left, &right).expect("delta body parses");
-    let outcome = registry.delta("catalogs", parsed.delta, parsed.deadline).expect("in range");
+    let outcome = registry.delta("catalogs", parsed, None, None).expect("in range");
     println!(
         "after delta: {} explanations left, component cache hits: {}",
         outcome.report.explanations.len(),
@@ -88,7 +88,7 @@ fn main() {
     }"#;
     let fresh = wire::parse_create(fresh_body).expect("fresh body parses");
     fresh_registry.create("catalogs", fresh).expect("fresh name");
-    let cold = fresh_registry.explain("catalogs", None).expect("session exists");
+    let cold = fresh_registry.explain("catalogs", None, None).expect("session exists");
     assert_eq!(
         report_fingerprint(&outcome.report),
         report_fingerprint(&cold),

@@ -237,7 +237,7 @@ pub mod prelude {
         report_fingerprint, ExplainSession, RelationDelta, SessionConfig,
     };
     pub use explain3d_linkage::{BucketCalibrator, StringMetric, TupleMapping, TupleMatch};
-    pub use explain3d_milp::prelude::{LpKernel, MilpConfig, SolveStatus};
+    pub use explain3d_milp::prelude::{MilpConfig, SolveStatus};
     pub use explain3d_relation::prelude::*;
     pub use explain3d_service::{
         DeltaOutcome, Server, ServerConfig, ServiceConfig, ServiceError, SessionRegistry,

@@ -191,12 +191,9 @@ fn compare(
     tally.compared += 1;
     // Search to proven optimality: no deadline, no practical node limit.
     let hint = heuristic_objective(left, right, relation, params, sub);
-    let milp = MilpConfig::default()
-        .with_deadline(None)
-        .with_max_nodes(usize::MAX)
-        .with_incumbent_hint(hint);
+    let milp = MilpConfig::default().with_deadline(None).with_max_nodes(usize::MAX);
     let encoded = encode(left, right, relation, params, sub);
-    let solution = branch_bound::solve(&encoded.model, &milp);
+    let (solution, _) = branch_bound::solve_with_stats(&encoded.model, &milp, Some(hint));
     assert_eq!(solution.status, SolveStatus::Optimal, "{what}");
     let scale = 1.0 + solution.objective.abs();
     assert!(

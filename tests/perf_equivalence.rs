@@ -162,23 +162,23 @@ fn row_parallel_candidates_match_naive_on_a_large_dataset() {
 #[test]
 fn parallel_and_sequential_pipelines_are_byte_identical() {
     let case = generate_synthetic(&SyntheticConfig::new(120, 0.3, 400));
-    // Deterministic MILP bound (nodes, not wall-clock) so both runs explore
-    // identical search trees regardless of scheduling.
-    let milp = MilpConfig { time_limit: None, max_nodes: 2_000, ..Default::default() };
+    // A node cap keeps the MILP solves short. The search reads no clock,
+    // so both runs explore identical search trees regardless of scheduling.
+    let milp = MilpConfig { max_nodes: 2_000, ..Default::default() };
     for config in [
         Explain3DConfig::batched(30).with_milp(milp.clone()),
         Explain3DConfig::connected_components().with_milp(milp.clone()),
     ] {
-        let run = |parallel: bool| {
-            Explain3D::new(config.clone().with_parallel(parallel)).explain(
+        let run = |threads: Option<usize>| {
+            Explain3D::new(Explain3DConfig { threads, ..config.clone() }).explain(
                 &case.prepared.left_canonical,
                 &case.prepared.right_canonical,
                 &case.attribute_matches,
                 &case.initial_mapping,
             )
         };
-        let par = run(true);
-        let seq = run(false);
+        let par = run(None);
+        let seq = run(Some(1));
         assert_eq!(par.explanations, seq.explanations, "strategy {:?}", config.strategy);
         assert_eq!(par.log_probability.to_bits(), seq.log_probability.to_bits());
         assert_eq!(par.complete, seq.complete);
@@ -189,13 +189,6 @@ fn parallel_and_sequential_pipelines_are_byte_identical() {
     }
 }
 
-/// The deterministic-deadline regression ROADMAP asks for: when the MILP
-/// search is bounded by a *node budget* instead of a wall-clock time limit,
-/// parallel and sequential Stage-2 runs must stay byte-identical **even
-/// when sub-problems hit the limit**. (With the default wall-clock
-/// `time_limit`, a limit-hit search may explore fewer nodes under thread
-/// contention — that is the only nondeterminism window, and this test pins
-/// it down to exactly that case.)
 /// `case`'s canonical relations and initial mapping plus a dense
 /// `size`×`size` block: `size` new tuples per side, impact 1, every pair
 /// matched at p = 0.6. With `size` = 5 the block is one component of 25
@@ -223,13 +216,10 @@ fn with_dense_block(
     (left, right, mapping)
 }
 
-/// The deterministic-deadline regression ROADMAP asks for: when the MILP
-/// search is bounded by a *node budget* instead of a wall-clock time limit,
-/// parallel and sequential Stage-2 runs must stay byte-identical **even
-/// when sub-problems hit the limit**. (With the default wall-clock
-/// `time_limit`, a limit-hit search may explore fewer nodes under thread
-/// contention — that is the only nondeterminism window, and this test pins
-/// it down to exactly that case.) Components of at most
+/// The deterministic-deadline regression: the MILP search is bounded by a
+/// *node budget* and reads no clock, so parallel and sequential Stage-2
+/// runs stay byte-identical **even when sub-problems hit the limit**.
+/// Components of at most
 /// `EXACT_MAX_MATCHES` matches are solved by enumeration, which never hits
 /// a limit, so the input carries a dense block the MILP must solve.
 #[test]
@@ -237,19 +227,19 @@ fn node_limited_deadline_is_deterministic_even_when_hit() {
     let case = generate_synthetic(&SyntheticConfig::new(90, 0.35, 300));
     let (left, right, mapping) = with_dense_block(&case, 5);
     // A node budget tight enough that some sub-problems cannot prove
-    // optimality — the scenario where a wall-clock limit would diverge.
-    let milp = MilpConfig { time_limit: None, max_nodes: 3, ..Default::default() };
+    // optimality.
+    let milp = MilpConfig { max_nodes: 3, ..Default::default() };
     let config = Explain3DConfig::batched(24).with_milp(milp);
-    let run = |parallel: bool| {
-        Explain3D::new(config.clone().with_parallel(parallel)).explain(
+    let run = |threads: Option<usize>| {
+        Explain3D::new(Explain3DConfig { threads, ..config.clone() }).explain(
             &left,
             &right,
             &case.attribute_matches,
             &mapping,
         )
     };
-    let par = run(true);
-    let seq = run(false);
+    let par = run(None);
+    let seq = run(Some(1));
     assert!(
         par.stats.suboptimal_subproblems > 0,
         "the node budget must actually be hit for this regression to bite"
@@ -261,7 +251,7 @@ fn node_limited_deadline_is_deterministic_even_when_hit() {
     assert_eq!(par.stats.milp_count, seq.stats.milp_count);
     assert_eq!(par.stats.suboptimal_subproblems, seq.stats.suboptimal_subproblems);
     // Re-running the parallel configuration is reproducible end to end.
-    let again = run(true);
+    let again = run(None);
     assert_eq!(par.explanations, again.explanations);
     assert_eq!(par.log_probability.to_bits(), again.log_probability.to_bits());
 }
@@ -273,7 +263,7 @@ fn node_limited_deadline_is_deterministic_even_when_hit() {
 fn smart_partition_reports_are_byte_identical_to_connected_components() {
     for (tuples, noise, vocab_size) in [(60usize, 0.3f64, 200usize), (100, 0.4, 350)] {
         let case = generate_synthetic(&SyntheticConfig::new(tuples, noise, vocab_size));
-        let milp = MilpConfig { time_limit: None, max_nodes: 2_000, ..Default::default() };
+        let milp = MilpConfig { max_nodes: 2_000, ..Default::default() };
         let run = |config: Explain3DConfig| {
             Explain3D::new(config.with_milp(milp.clone())).explain(
                 &case.prepared.left_canonical,
@@ -423,7 +413,7 @@ mod huge_component {
 fn work_stealing_is_byte_identical_across_thread_counts() {
     let (left, right, mapping) = huge_component::workload(22, 24);
     let attr = explain3d::core::prelude::AttributeMatches::single_equivalent("k", "k");
-    let milp = MilpConfig { time_limit: None, max_nodes: 300, ..Default::default() };
+    let milp = MilpConfig { max_nodes: 300, ..Default::default() };
     // Batch 16 < the 44-tuple welded cluster: the cluster becomes a flagged
     // oversized part of its own; each couple is a part of its own.
     let config = Explain3DConfig::batched(16).with_milp(milp);
@@ -449,39 +439,4 @@ fn work_stealing_is_byte_identical_across_thread_counts() {
         // Sequential runs never steal; parallel runs may.
         assert_eq!(base.stats.steals, 0);
     }
-}
-
-/// The sparse kernel (production default) and the retained dense baseline
-/// must explain the pipeline workload identically up to equal-probability
-/// ties: same provenance, same evidence set, same score.
-#[test]
-fn sparse_and_dense_kernels_explain_identically() {
-    let case = generate_synthetic(&SyntheticConfig::new(100, 0.3, 350));
-    let milp = MilpConfig { time_limit: None, max_nodes: 2_000, ..Default::default() };
-    let run = |milp: MilpConfig| {
-        Explain3D::new(Explain3DConfig::batched(25).with_milp(milp).with_parallel(false)).explain(
-            &case.prepared.left_canonical,
-            &case.prepared.right_canonical,
-            &case.attribute_matches,
-            &case.initial_mapping,
-        )
-    };
-    let sparse = run(milp.clone());
-    let dense = run(milp.with_lp_kernel(explain3d::milp::branch_bound::LpKernel::Dense));
-    assert_eq!(sparse.explanations.provenance, dense.explanations.provenance);
-    let mut sparse_ev: Vec<(usize, usize)> =
-        sparse.explanations.evidence.iter().map(|m| m.pair()).collect();
-    let mut dense_ev: Vec<(usize, usize)> =
-        dense.explanations.evidence.iter().map(|m| m.pair()).collect();
-    sparse_ev.sort_unstable();
-    dense_ev.sort_unstable();
-    assert_eq!(sparse_ev, dense_ev);
-    assert!(
-        (sparse.log_probability - dense.log_probability).abs()
-            <= 1e-6 * (1.0 + dense.log_probability.abs()),
-        "scores diverged: sparse {} dense {}",
-        sparse.log_probability,
-        dense.log_probability
-    );
-    assert_eq!(sparse.complete, dense.complete);
 }

@@ -243,7 +243,7 @@ fn a_pipelined_read_sees_the_delta_before_it_also_after_recovery() {
     // session spills the first, and the next request naming it recovers it.
     let probe = SessionRegistry::new(ServiceConfig::default());
     probe.create("p", wire::parse_create(CREATE_BODY).unwrap()).unwrap();
-    probe.explain("p", None).unwrap();
+    probe.explain("p", None, None).unwrap();
     let per_session = probe.total_footprint();
     let dir = tempdir("pipeline");
     let (addr, handle) = serve(ServiceConfig {

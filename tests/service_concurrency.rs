@@ -107,7 +107,7 @@ fn randomized_interleavings_match_serial_replay() {
     }));
     for s in 0..SESSIONS {
         registry.create(&format!("s{s}"), base_request(s)).unwrap();
-        registry.explain(&format!("s{s}"), None).unwrap();
+        registry.explain(&format!("s{s}"), None, None).unwrap();
     }
 
     let delta_errors = Arc::new(AtomicUsize::new(0));
@@ -125,7 +125,7 @@ fn randomized_interleavings_match_serial_replay() {
                         // incremental path live.
                         0..=6 => {
                             let delta = random_delta(&mut rng, s, t * 1000 + step);
-                            match registry.delta(&name, delta, None) {
+                            match registry.delta(&name, delta.into(), None, None) {
                                 Ok(outcome) => assert!(outcome.report.complete),
                                 Err(explain3d::service::ServiceError::Delta(_)) => {
                                     delta_errors.fetch_add(1, Ordering::Relaxed);
@@ -138,7 +138,7 @@ fn randomized_interleavings_match_serial_replay() {
                             assert!(report.complete);
                         }
                         _ => {
-                            let report = registry.explain(&name, None).unwrap();
+                            let report = registry.explain(&name, None, None).unwrap();
                             assert!(report.complete);
                         }
                     }
@@ -182,7 +182,7 @@ fn eviction_and_recreate_round_trip_under_contention() {
     // sessions keeps evicting the idle ones.
     let probe = SessionRegistry::new(ServiceConfig::default());
     probe.create("p", base_request(0)).unwrap();
-    probe.explain("p", None).unwrap();
+    probe.explain("p", None, None).unwrap();
     let per_session = probe.total_footprint().max(1);
 
     let registry = Arc::new(SessionRegistry::new(ServiceConfig {
@@ -203,7 +203,7 @@ fn eviction_and_recreate_round_trip_under_contention() {
                     let s = rng.gen_range(0..SESSIONS);
                     let name = format!("s{s}");
                     let delta = random_delta(&mut rng, s, t * 1000 + step);
-                    match registry.delta(&name, delta, None) {
+                    match registry.delta(&name, delta.into(), None, None) {
                         Ok(_) | Err(explain3d::service::ServiceError::Delta(_)) => {}
                         Err(explain3d::service::ServiceError::SessionNotFound(_)) => {
                             // Evicted: re-create from base and move on. A
@@ -232,7 +232,7 @@ fn eviction_and_recreate_round_trip_under_contention() {
             // Re-created by the churn and never touched since: explain it
             // now; it must match a fresh session like any other survivor.
             Err(explain3d::service::ServiceError::NoReport(_)) if log.is_empty() => {
-                registry.explain(&name, None).expect("explain a re-created session")
+                registry.explain(&name, None, None).expect("explain a re-created session")
             }
             Err(_) => continue,
         };

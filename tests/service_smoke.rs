@@ -42,10 +42,10 @@ fn scripted_lifecycle_over_tcp_matches_in_process_run() {
     // In-process oracle.
     let oracle = SessionRegistry::new(ServiceConfig::default());
     oracle.create("s", wire::parse_create(CREATE_BODY).unwrap()).unwrap();
-    let oracle_explain = oracle.explain("s", None).unwrap();
-    let (left, right) = oracle.shapes("s").unwrap();
+    let oracle_explain = oracle.explain("s", None, None).unwrap();
+    let (left, right, _) = oracle.shapes("s").unwrap();
     let parsed = wire::parse_delta(DELTA_BODY, &left, &right).unwrap();
-    let oracle_delta = oracle.delta("s", parsed.delta, parsed.deadline).unwrap();
+    let oracle_delta = oracle.delta("s", parsed, None, None).unwrap();
 
     // Wire side.
     let server = Server::bind(ServerConfig::default()).expect("bind ephemeral port");
