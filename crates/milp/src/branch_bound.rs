@@ -121,15 +121,8 @@ impl MilpConfig {
 pub struct SolveStats {
     /// Number of nodes explored.
     pub nodes: usize,
-    /// Number of LP relaxations solved.
-    pub lp_solves: usize,
     /// LP relaxations solved warm (from the parent node's basis).
     pub warm_lp_solves: usize,
-    /// LP solves where the sparse kernel gave up and the dense reference
-    /// kernel answered (numerical fallback).
-    pub dense_fallbacks: usize,
-    /// Whether the node budget interrupted the search.
-    pub limit_hit: bool,
 }
 
 /// Solves a MILP, returning the best solution found and search statistics.
@@ -192,11 +185,9 @@ pub fn solve_with_stats(
     while let Some((bounds, warm)) = stack.pop() {
         if stats.nodes >= node_budget {
             fully_explored = false;
-            stats.limit_hit = true;
             break;
         }
         stats.nodes += 1;
-        stats.lp_solves += 1;
 
         let (lp, node_lp) = solve_node(model, config, &bounds, warm.as_ref(), &mut stats);
         match lp.status {
@@ -320,7 +311,6 @@ fn dive_heuristic(
     stats: &mut SolveStats,
 ) -> (Option<NodeLp>, Option<Vec<f64>>) {
     let ctx = Rc::new(SparseLp::new(model, root_bounds));
-    stats.lp_solves += 1;
     let (mut lp, mut basis) = ctx.solve_cold(model);
     let root_warm = basis.clone().map(|b| NodeLp { ctx: ctx.clone(), basis: Rc::new(b) });
     let mut bounds = root_bounds.to_vec();
@@ -382,7 +372,6 @@ fn solve_fixed(
     stats: &mut SolveStats,
 ) -> Option<(LpResult, Option<SparseBasis>)> {
     bounds[idx] = (value, value);
-    stats.lp_solves += 1;
     if let Some(b) = basis {
         if let Some(out) = ctx.solve_warm(model, bounds, b) {
             stats.warm_lp_solves += 1;
@@ -415,9 +404,6 @@ fn solve_node(
     }
     let ctx = Rc::new(SparseLp::new(model, bounds));
     let (lp, basis) = ctx.solve_cold(model);
-    if basis.is_none() && lp.status == LpStatus::Optimal {
-        stats.dense_fallbacks += 1;
-    }
     let next = basis.map(|b| NodeLp { ctx, basis: Rc::new(b) });
     (lp, next)
 }

@@ -9,9 +9,8 @@
 //! ```text
 //! usage: explain3d-serve [--addr HOST:PORT] [--threads N] [--queue N]
 //!                        [--backend epoll|poll|auto] [--max-conns N]
-//!                        [--shards N] [--io-timeout-ms N]
-//!                        [--coalesce-window-ms N]
-//!                        [--memory-budget-mb N] [--data-dir DIR]
+//!                        [--io-timeout-ms N] [--memory-budget-mb N]
+//!                        [--data-dir DIR]
 //!                        [--fsync off|interval[:N]|always]
 //!                        [--snapshot-every N]
 //!                        [--durability best-effort|strict]
@@ -23,10 +22,8 @@
 //! readiness `--backend` (`auto` picks `epoll` on Linux, `poll`
 //! elsewhere) and dispatches complete requests onto `--threads` workers;
 //! `--max-conns` caps concurrently open sockets (beyond it accepts are
-//! answered 429). `--shards` stripes the session-index lock and
-//! `--coalesce-window-ms` makes delta requests wait that long for
-//! batch-mates before re-explaining — higher delta throughput under
-//! bursts, at bounded added latency.
+//! answered 429). Deltas that queue behind a busy session are merged
+//! into that session's next re-explanation.
 //!
 //! With `--data-dir` every session is durable: applied deltas are
 //! write-ahead-logged before they are acknowledged, snapshots replace the
@@ -72,11 +69,10 @@ use explain3d_service::{Backend, Server, ServerConfig, SlowLogConfig, Telemetry,
 use std::sync::atomic::{AtomicBool, Ordering};
 
 const USAGE: &str = "usage: explain3d-serve [--addr HOST:PORT] [--threads N] [--queue N] \
-                     [--backend epoll|poll|auto] [--max-conns N] [--shards N] \
-                     [--io-timeout-ms N] [--coalesce-window-ms N] [--memory-budget-mb N] \
-                     [--data-dir DIR] [--fsync off|interval[:N]|always] [--snapshot-every N] \
-                     [--durability best-effort|strict] [--telemetry on|off] [--slow-log-ms N] \
-                     [--fault-seed N] [--fault-ops SPEC] [--smoke]";
+                     [--backend epoll|poll|auto] [--max-conns N] [--io-timeout-ms N] \
+                     [--memory-budget-mb N] [--data-dir DIR] [--fsync off|interval[:N]|always] \
+                     [--snapshot-every N] [--durability best-effort|strict] [--telemetry on|off] \
+                     [--slow-log-ms N] [--fault-seed N] [--fault-ops SPEC] [--smoke]";
 
 /// Set by the `SIGTERM`/`SIGINT` handler; the accept loop polls it.
 static STOP: AtomicBool = AtomicBool::new(false);
@@ -161,17 +157,11 @@ fn main() {
             "--max-conns" => {
                 config.max_connections = parse_count(&value("--max-conns"), "--max-conns");
             }
-            "--shards" => config.service.shards = parse_count(&value("--shards"), "--shards"),
             "--io-timeout-ms" => {
                 config.io_timeout = std::time::Duration::from_millis(parse_count(
                     &value("--io-timeout-ms"),
                     "--io-timeout-ms",
                 ) as u64);
-            }
-            "--coalesce-window-ms" => {
-                config.service.coalesce_window = Some(std::time::Duration::from_millis(
-                    parse_count(&value("--coalesce-window-ms"), "--coalesce-window-ms") as u64,
-                ));
             }
             "--memory-budget-mb" => {
                 config.service.memory_budget =
@@ -259,7 +249,7 @@ fn main() {
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.subsec_nanos() as u64)
                 .unwrap_or(0);
-        let tel = TelemetryConfig { trace_seed, slow_log, ..TelemetryConfig::default() };
+        let tel = TelemetryConfig { trace_seed, slow_log };
         match Telemetry::new(tel) {
             Ok(t) => config.service.telemetry = Some(std::sync::Arc::new(t)),
             Err(e) => {

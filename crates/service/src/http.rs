@@ -63,6 +63,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Hard cap on request body bytes; a larger body answers 413.
+const MAX_BODY_BYTES: usize = 64 << 20;
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -73,8 +76,6 @@ pub struct ServerConfig {
     /// Bounded admission queue: ready requests beyond this are shed with
     /// a 429.
     pub queue_capacity: usize,
-    /// Hard cap on request body bytes.
-    pub max_body_bytes: usize,
     /// I/O timeout. Reading: how long a connection may sit without
     /// progress before it is reaped (mid-request silences answer 408
     /// first). Writing: a **total** deadline for the whole response — a
@@ -86,7 +87,8 @@ pub struct ServerConfig {
     /// Hard cap on concurrently open connections; beyond it, accepts are
     /// answered 429 and closed.
     pub max_connections: usize,
-    /// Registry configuration (memory budget, shards, delta recording).
+    /// Registry configuration (memory budget, durability, telemetry,
+    /// delta recording).
     pub service: ServiceConfig,
 }
 
@@ -96,7 +98,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             threads: explain3d_parallel::max_threads(),
             queue_capacity: 64,
-            max_body_bytes: 64 << 20,
             io_timeout: Duration::from_secs(10),
             backend: Backend::auto(),
             max_connections: 16384,
@@ -297,7 +298,6 @@ struct EventLoop {
     /// delivered yet (counts queued jobs too — every dispatched job pushes
     /// exactly one completion).
     inflight: usize,
-    max_body: usize,
     io_timeout: Duration,
     max_connections: usize,
     accept_paused_until: Option<Instant>,
@@ -330,7 +330,6 @@ impl EventLoop {
             free: Vec::new(),
             active: 0,
             inflight: 0,
-            max_body: config.max_body_bytes,
             io_timeout: config.io_timeout,
             max_connections: config.max_connections,
             accept_paused_until: None,
@@ -524,7 +523,7 @@ impl EventLoop {
                 // First byte of a new request: the trace clock starts here.
                 conn.req_start = Some(now);
             }
-            proto::parse_request(&conn.inbuf, self.max_body)
+            proto::parse_request(&conn.inbuf, MAX_BODY_BYTES)
         };
         match parse {
             Parse::NeedMore => {

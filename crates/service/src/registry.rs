@@ -4,7 +4,7 @@
 //! ## Concurrency model
 //!
 //! The registry index is **sharded**: session names hash (FNV-1a) onto a
-//! fixed array of lock stripes ([`ServiceConfig::shards`]), each stripe a
+//! fixed array of 16 lock stripes, each stripe a
 //! `RwLock<HashMap<name, Arc<Slot>>>`, so at high connection counts name
 //! lookups contend only within their stripe — contended acquisitions are
 //! counted per shard and surfaced as [`RegistryStats::shard_contention`].
@@ -40,14 +40,6 @@
 //! replaying each ticket individually so each caller gets exactly the
 //! success or typed error a serial execution would have given it —
 //! coalescing is a pure fast path, never a semantic change.
-//!
-//! With [`ServiceConfig::coalesce_window`] set, a delta caller *waits*
-//! that long after enqueueing its ticket before competing for the session
-//! lock (returning early if another drain serves it meanwhile). The
-//! window deliberately widens batches under bursty load — more tickets
-//! per `re_explain` — at the cost of bounded added latency; it changes
-//! **when** runs happen, never their admission order or results, so the
-//! serial-equivalence invariant is untouched.
 //!
 //! ## Eviction
 //!
@@ -138,8 +130,10 @@ use std::time::{Duration, Instant};
 /// common path is woken by `notify_all` well before it expires.
 const TICKET_POLL: Duration = Duration::from_millis(2);
 
-/// Lock stripes in the session index when [`ServiceConfig::shards`] is 0.
-const DEFAULT_SHARDS: usize = 16;
+/// Lock stripes in the session index. The memory budget and LRU policy
+/// stay **global** across stripes: sharding changes lookup contention,
+/// never which session is evicted.
+const SHARDS: usize = 16;
 
 /// What a storage failure means for the session it hits; see the
 /// "Degraded mode" section of the module docs.
@@ -185,17 +179,6 @@ pub struct ServiceConfig {
     /// (the first attempt after degrading is never delayed). Also the
     /// `Retry-After` hint strict-mode 503s carry.
     pub reattach_interval: Duration,
-    /// Lock stripes the session index is split across (names hash onto
-    /// stripes, so lookups contend only within one). `0` — the default —
-    /// picks 16. The memory budget and LRU policy stay **global** across
-    /// stripes: sharding changes lookup contention, never which session
-    /// is evicted.
-    pub shards: usize,
-    /// Deliberate delta micro-batching: how long a delta caller waits
-    /// after enqueueing its ticket before competing for the session lock,
-    /// so concurrent deltas pile into one coalesced `re_explain`. `None`
-    /// (the default) competes immediately.
-    pub coalesce_window: Option<Duration>,
     /// Armed telemetry (metrics + traces). `None` — the default — makes
     /// every instrumentation site a single never-taken branch: no clock
     /// reads, no atomics, no allocation.
@@ -210,8 +193,6 @@ impl Default for ServiceConfig {
             durability: None,
             durability_mode: DurabilityMode::BestEffort,
             reattach_interval: Duration::from_secs(1),
-            shards: 0,
-            coalesce_window: None,
             telemetry: None,
         }
     }
@@ -476,24 +457,6 @@ impl TicketCell {
         if let Ok(cell) = self.outcome.lock() {
             if cell.is_none() {
                 let _ = self.ready.wait_timeout(cell, TICKET_POLL);
-            }
-        }
-    }
-
-    /// Parks until the ticket is fulfilled or `deadline` passes, without
-    /// consuming the outcome. This is the coalesce-window wait: the
-    /// caller stays out of the lock competition while other tickets pile
-    /// up, but returns immediately if another drain serves it first.
-    fn wait_until(&self, deadline: Instant) {
-        let Ok(mut cell) = self.outcome.lock() else { return };
-        while cell.is_none() {
-            let now = Instant::now();
-            let Some(left) = deadline.checked_duration_since(now).filter(|d| !d.is_zero()) else {
-                return;
-            };
-            match self.ready.wait_timeout(cell, left) {
-                Ok((s, _)) => cell = s,
-                Err(_) => return,
             }
         }
     }
@@ -913,7 +876,7 @@ struct Shard {
 
 /// A concurrent registry of named explain sessions; see the module docs.
 pub struct SessionRegistry {
-    shards: Box<[Shard]>,
+    shards: [Shard; SHARDS],
     /// Per-name recovery gates: [`SessionStore::recover`] truncates the
     /// WAL to its valid length and opens a writer, so two concurrent
     /// recoveries of the same name could each truncate records the other
@@ -940,12 +903,11 @@ impl SessionRegistry {
     /// An empty registry.
     pub fn new(config: ServiceConfig) -> Self {
         let store = config.durability.clone().map(SessionStore::open);
-        let stripes = if config.shards == 0 { DEFAULT_SHARDS } else { config.shards };
-        let shards = (0..stripes)
-            .map(|_| Shard { slots: RwLock::new(HashMap::new()), contention: AtomicUsize::new(0) })
-            .collect();
         SessionRegistry {
-            shards,
+            shards: std::array::from_fn(|_| Shard {
+                slots: RwLock::new(HashMap::new()),
+                contention: AtomicUsize::new(0),
+            }),
             recovering: Mutex::new(HashMap::new()),
             clock: AtomicU64::new(0),
             config,
@@ -975,7 +937,7 @@ impl SessionRegistry {
             deltas_applied: self.deltas_applied.load(Ordering::Relaxed),
             coalesced_deltas: self.coalesced_deltas.load(Ordering::Relaxed),
             reports: self.reports.load(Ordering::Relaxed),
-            shards: self.shards.len(),
+            shards: SHARDS,
             shard_contention: self
                 .shards
                 .iter()
@@ -1053,9 +1015,23 @@ impl SessionRegistry {
         Ok(f())
     }
 
+    /// Test support: how many delta tickets wait in the named session's
+    /// pending queue. Takes no session state lock, so a test can watch
+    /// deltas queue behind [`SessionRegistry::with_state_lock_held`].
+    #[doc(hidden)]
+    pub fn queued_deltas(&self, name: &str) -> Result<usize, ServiceError> {
+        let slot = self.slot(name)?;
+        let queued = slot
+            .pending
+            .lock()
+            .map_err(|_| ServiceError::Internal("pending queue poisoned".into()))?
+            .len();
+        Ok(queued)
+    }
+
     /// The lock stripe `name` hashes onto.
     fn shard_of(&self, name: &str) -> &Shard {
-        &self.shards[(fnv1a(name.as_bytes()) as usize) % self.shards.len()]
+        &self.shards[(fnv1a(name.as_bytes()) as usize) % SHARDS]
     }
 
     fn shard_read<'a>(
@@ -1525,46 +1501,41 @@ impl SessionRegistry {
         let wait_started = self.config.telemetry.as_ref().map(|_| Instant::now());
         let wait_start_us = tctx.as_ref().map(|c| c.trace.now_us());
         let cell = Arc::new(TicketCell::default());
+        let mut ticket = Ticket { delta, deadline, request_id, result: Arc::clone(&cell) };
         let slot = loop {
             let slot = self.slot(name)?;
             if expected_shape.is_some_and(|token| token != slot.shape_token) {
                 return Err(ServiceError::ShapeConflict(name.to_string()));
             }
-            {
-                let mut pending = slot
-                    .pending
-                    .lock()
-                    .map_err(|_| ServiceError::Internal("pending queue poisoned".into()))?;
-                pending.push_back(Ticket {
-                    delta: delta.clone(),
-                    deadline,
-                    request_id: request_id.clone(),
-                    result: Arc::clone(&cell),
-                });
-            }
+            slot.pending
+                .lock()
+                .map_err(|_| ServiceError::Internal("pending queue poisoned".into()))?
+                .push_back(ticket);
             // Eviction may have spilled the slot between lookup and push.
             // It holds the pending lock across the removal, so the push
             // either landed first (non-empty queue: the eviction aborts)
-            // or strictly after the removal — in which case nothing will
-            // ever drain this zombie queue: withdraw the ticket and retry
-            // against the recovered slot. Once this check passes, the
+            // or strictly after the removal — in which case no new drain
+            // will serve this zombie queue: withdraw the ticket and retry
+            // it against the recovered slot. Once this check passes, the
             // pending ticket itself blocks any later eviction.
             if self.registered(name, &slot)? {
                 break slot;
             }
-            let mut pending = slot
-                .pending
-                .lock()
-                .map_err(|_| ServiceError::Internal("pending queue poisoned".into()))?;
-            pending.retain(|t| !Arc::ptr_eq(&t.result, &cell));
+            let withdrawn = {
+                let mut pending = slot
+                    .pending
+                    .lock()
+                    .map_err(|_| ServiceError::Internal("pending queue poisoned".into()))?;
+                let at = pending.iter().position(|t| Arc::ptr_eq(&t.result, &cell));
+                at.and_then(|at| pending.remove(at))
+            };
+            match withdrawn {
+                Some(withdrawn) => ticket = withdrawn,
+                // A drain still running on the zombie slot took the ticket
+                // with its batch; the outcome arrives through the cell.
+                None => break slot,
+            }
         };
-        if let Some(window) = self.config.coalesce_window {
-            // Micro-batching: stay out of the lock competition for the
-            // window so concurrent tickets accumulate into one drain.
-            // Purely a scheduling delay — admission order was fixed by the
-            // push above.
-            cell.wait_until(Instant::now() + window);
-        }
         loop {
             if let Some(outcome) = cell.take()? {
                 self.touch(&slot);
@@ -2685,47 +2656,61 @@ mod tests {
             .unwrap();
     }
 
+    /// Polls until `count` delta tickets are queued on `name`.
+    fn await_queued(registry: &SessionRegistry, name: &str, count: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while registry.queued_deltas(name).unwrap() < count {
+            assert!(Instant::now() < deadline, "{count} deltas never queued on {name:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
-    fn coalesce_window_batches_concurrent_deltas() {
-        let registry = Arc::new(SessionRegistry::new(ServiceConfig {
-            coalesce_window: Some(Duration::from_millis(250)),
-            ..ServiceConfig::default()
-        }));
+    fn deltas_queued_behind_a_held_lock_share_one_run() {
+        const N: usize = 4;
+        let registry = Arc::new(SessionRegistry::new(ServiceConfig::default()));
         registry.create("s", request(&[("a", 1.0), ("b", 2.0)], &[("a", 1.0)])).unwrap();
         registry.explain("s", None, None).unwrap();
-        let barrier = Arc::new(std::sync::Barrier::new(4));
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let registry = Arc::clone(&registry);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    registry.delta(
-                        "s",
-                        RelationDelta::new()
-                            .insert(Side::Right, tuple(&format!("t{i}"), 1.0))
-                            .into(),
-                        None,
-                        None,
-                    )
-                })
+        // While this thread holds the session lock, every delta queues;
+        // the first drain after the release serves all of them at once.
+        let handles = registry
+            .with_state_lock_held("s", || {
+                let handles: Vec<_> = (0..N)
+                    .map(|i| {
+                        let registry = Arc::clone(&registry);
+                        std::thread::spawn(move || {
+                            registry.delta(
+                                "s",
+                                RelationDelta::new()
+                                    .insert(Side::Right, tuple(&format!("t{i}"), 1.0))
+                                    .into(),
+                                None,
+                                None,
+                            )
+                        })
+                    })
+                    .collect();
+                await_queued(&registry, "s", N);
+                handles
             })
-            .collect();
-        for h in handles {
-            h.join().unwrap().unwrap();
-        }
+            .unwrap();
+        let outcomes: Vec<DeltaOutcome> =
+            handles.into_iter().map(|h| h.join().unwrap().unwrap()).collect();
         let stats = registry.stats();
-        assert_eq!(stats.deltas_applied, 4);
-        // All four start inside one 250ms window, so at least one ticket
-        // must have piggybacked on another's run.
-        assert!(stats.coalesced_deltas >= 1, "window produced no batching: {stats:?}");
+        assert_eq!(stats.deltas_applied, N);
+        assert_eq!(stats.coalesced_deltas, N - 1, "one run must serve every queued delta");
+        let current = registry.report("s").unwrap();
+        for outcome in &outcomes {
+            assert_eq!(outcome.coalesced_with, N - 1);
+            assert!(Arc::ptr_eq(&outcome.report, &current), "every waiter gets the batch's report");
+        }
     }
 
     #[test]
     fn sharded_index_keeps_eviction_global() {
-        // Many shards, sessions hashing to different stripes: the LRU
-        // choice must still be the global one (the unsharded registry's
-        // choice), and the budget must apply to the global total.
+        // Sessions hashing to different stripes: the LRU choice must
+        // still be the global one (the unsharded registry's choice), and
+        // the budget must apply to the global total.
         let probe = SessionRegistry::new(ServiceConfig::default());
         probe.create("p", request(&[("x", 1.0), ("y", 2.0)], &[("x", 1.0)])).unwrap();
         probe.explain("p", None, None).unwrap();
@@ -2733,11 +2718,14 @@ mod tests {
 
         let registry = SessionRegistry::new(ServiceConfig {
             memory_budget: Some(per_session * 5 / 2),
-            shards: 64,
             ..ServiceConfig::default()
         });
-        assert_eq!(registry.stats().shards, 64);
-        for name in ["a", "b", "c"] {
+        assert_eq!(registry.stats().shards, SHARDS);
+        let names = ["a", "b", "c"];
+        let stripes: std::collections::HashSet<usize> =
+            names.iter().map(|n| fnv1a(n.as_bytes()) as usize % SHARDS).collect();
+        assert!(stripes.len() >= 2, "the sessions must span stripes: {stripes:?}");
+        for name in names {
             registry.create(name, request(&[("x", 1.0), ("y", 2.0)], &[("x", 1.0)])).unwrap();
             registry.explain(name, None, None).unwrap();
         }

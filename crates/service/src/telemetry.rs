@@ -30,20 +30,21 @@ pub const ROUTES: [&str; 10] = [
     "other",
 ];
 
+/// Roughly how many finished traces `/debug/trace` retains.
+const TRACE_CAPACITY: usize = 1024;
+
 /// How telemetry is set up; see [`Telemetry::new`].
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Seed of the trace-id stream (deterministic per seed).
     pub trace_seed: u64,
-    /// Roughly how many finished traces `/debug/trace` retains.
-    pub trace_capacity: usize,
     /// Optional on-disk slow-request log.
     pub slow_log: Option<SlowLogConfig>,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig { trace_seed: 0xE3D, trace_capacity: 1024, slow_log: None }
+        TelemetryConfig { trace_seed: 0xE3D, slow_log: None }
     }
 }
 
@@ -178,7 +179,7 @@ impl Telemetry {
         };
         Ok(Telemetry {
             ids: TraceIdGen::new(config.trace_seed),
-            ring: TraceRing::new(config.trace_capacity),
+            ring: TraceRing::new(TRACE_CAPACITY),
             started: Instant::now(),
             slow,
             pool: OnceLock::new(),

@@ -6,15 +6,11 @@
 //! its initial mapping. Every retained pair and every similarity bit must
 //! agree.
 
-use explain3d::datagen::{generate_synthetic, SyntheticConfig};
+mod common;
+
+use common::benchmark_case;
 use explain3d::linkage::{candidate_pairs, candidate_pairs_naive, Candidate};
 use explain3d::prelude::*;
-
-/// Seed of case `i` of a perfbench run seeded `seed` (`case_seed` in
-/// `perfbench/src/explain_batch.rs`).
-fn case_seed(seed: u64, i: usize) -> u64 {
-    seed.wrapping_mul(1_000_003).wrapping_add(i as u64)
-}
 
 /// Compares the two generators on `explain_batch` cases `cases` at `seed`;
 /// returns the number of candidates compared.
@@ -22,13 +18,9 @@ fn compare_benchmark_cases(seed: u64, cases: std::ops::Range<usize>) -> usize {
     let options = ExplainOptions::default();
     let mut compared = 0;
     for i in cases {
-        let case = generate_synthetic(
-            &SyntheticConfig::new(1000, 0.2, 1000).with_seed(case_seed(seed, i)),
-        );
-        let matches = &case.attribute_matches;
-        let prepared = prepare(&case.left, &case.right, matches).expect("prepare");
-        let (left, right) = (&prepared.left_canonical, &prepared.right_canonical);
-        let config = options.mapping.mapping_config(matches);
+        let case = benchmark_case(seed, i);
+        let (left, right) = (&case.left, &case.right);
+        let config = options.mapping.mapping_config(&case.matches);
         let left_rows: Vec<Row> = left.tuples.iter().map(|t| t.representative.clone()).collect();
         let right_rows: Vec<Row> = right.tuples.iter().map(|t| t.representative.clone()).collect();
         let run = |generate: fn(&Schema, &[Row], &Schema, &[Row], &_) -> Vec<Candidate>| {

@@ -19,18 +19,14 @@
 //! MILP's answer depends on the LP's feasibility tolerance. The pipeline's
 //! unit tests cover that band.
 
+mod common;
+
+use common::benchmark_case;
 use explain3d::core::encode::{exact_solution, heuristic_objective, EXACT_MAX_MATCHES};
 use explain3d::datagen::rng::{Rng, SeedableRng, StdRng};
-use explain3d::datagen::{generate_synthetic, SyntheticConfig};
 use explain3d::milp::branch_bound;
 use explain3d::prelude::*;
 use std::collections::HashMap;
-
-/// Seed of case `i` of a perfbench run seeded `seed` (`case_seed` in
-/// `perfbench/src/explain_batch.rs`).
-fn case_seed(seed: u64, i: usize) -> u64 {
-    seed.wrapping_mul(1_000_003).wrapping_add(i as u64)
-}
 
 /// What one comparison found.
 #[derive(Debug, Default)]
@@ -227,15 +223,10 @@ fn compare_benchmark_cases(seed: u64, cases: std::ops::Range<usize>) -> Tally {
     let options = ExplainOptions::default();
     let mut tally = Tally::default();
     for i in cases {
-        let case = generate_synthetic(
-            &SyntheticConfig::new(1000, 0.2, 1000).with_seed(case_seed(seed, i)),
-        );
-        let matches = &case.attribute_matches;
-        let prepared = prepare(&case.left, &case.right, matches).expect("prepare");
-        let (left, right) = (&prepared.left_canonical, &prepared.right_canonical);
-        let mapping = build_initial_mapping(left, right, matches, &options.mapping, None);
-        let (jobs, _) = component_jobs(options.pipeline.strategy, left, right, &mapping);
-        let relation = matches.mapping_relation();
+        let case = benchmark_case(seed, i);
+        let (left, right) = (&case.left, &case.right);
+        let (jobs, _) = component_jobs(options.pipeline.strategy, left, right, &case.mapping);
+        let relation = case.matches.mapping_relation();
         for (k, (_, sub)) in jobs.iter().enumerate() {
             let what = format!("case {i} component {k}");
             tally.add(compare(left, right, relation, &options.pipeline.params, sub, &what));

@@ -242,7 +242,7 @@ fn node_budget_is_deterministic_and_size_aware() {
 }
 
 #[test]
-fn limit_hit_searches_are_reproducible_and_report_fallbacks() {
+fn limit_hit_searches_are_reproducible() {
     // A model large enough that a 2-node budget is hit: repeated runs must
     // agree exactly (outputs and stats), the definition of a deterministic
     // deadline.

@@ -8,15 +8,11 @@
 //! return the `ConnectedComponents` job list job for job, and the two
 //! pipelines must return byte-identical reports (`report_fingerprint`).
 
-use explain3d::core::pipeline::component_jobs;
-use explain3d::datagen::{generate_synthetic, SyntheticConfig};
-use explain3d::prelude::*;
+mod common;
 
-/// Seed of case `i` of a perfbench run seeded `seed` (`case_seed` in
-/// `perfbench/src/explain_batch.rs`).
-fn case_seed(seed: u64, i: usize) -> u64 {
-    seed.wrapping_mul(1_000_003).wrapping_add(i as u64)
-}
+use common::benchmark_case;
+use explain3d::core::pipeline::component_jobs;
+use explain3d::prelude::*;
 
 /// Compares the two strategies on `explain_batch` cases `cases` at `seed`;
 /// returns the number of jobs compared.
@@ -26,23 +22,19 @@ fn compare_benchmark_cases(seed: u64, cases: std::ops::Range<usize>) -> usize {
     let components = PartitioningStrategy::ConnectedComponents;
     let mut compared = 0;
     for i in cases {
-        let case = generate_synthetic(
-            &SyntheticConfig::new(1000, 0.2, 1000).with_seed(case_seed(seed, i)),
-        );
-        let matches = &case.attribute_matches;
-        let prepared = prepare(&case.left, &case.right, matches).expect("prepare");
-        let (left, right) = (&prepared.left_canonical, &prepared.right_canonical);
-        let mapping = build_initial_mapping(left, right, matches, &options.mapping, None);
+        let case = benchmark_case(seed, i);
+        let (left, right, matches, mapping) =
+            (&case.left, &case.right, &case.matches, &case.mapping);
 
-        let (smart_jobs, smart_meta) = component_jobs(smart, left, right, &mapping);
-        let (cc_jobs, cc_meta) = component_jobs(components, left, right, &mapping);
+        let (smart_jobs, smart_meta) = component_jobs(smart, left, right, mapping);
+        let (cc_jobs, cc_meta) = component_jobs(components, left, right, mapping);
         assert!(!cc_jobs.is_empty(), "case {i} has no jobs");
         assert_eq!(smart_meta, cc_meta, "case {i}");
         assert_eq!(smart_jobs, cc_jobs, "case {i}");
 
         let explain = |strategy| {
             let config = Explain3DConfig { strategy, ..options.pipeline.clone() };
-            Explain3D::new(config).explain(left, right, matches, &mapping)
+            Explain3D::new(config).explain(left, right, matches, mapping)
         };
         let (smart_report, cc_report) = (explain(smart), explain(components));
         assert_eq!(report_fingerprint(&smart_report), report_fingerprint(&cc_report), "case {i}");

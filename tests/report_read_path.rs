@@ -20,8 +20,8 @@ use explain3d::service::{wire, Server, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const CREATE_BODY: &str = r#"{
   "left":  {"name": "Q1", "columns": [["k", "str"]], "key": ["k"],
@@ -36,8 +36,8 @@ fn insert(key: &str) -> String {
     format!(r#"{{"ops": [{{"op": "insert", "side": "right", "tuple": {{"values": ["{key}"]}}}}]}}"#)
 }
 
-/// A server with enough workers that a burst of three deltas is handled
-/// concurrently, so the coalescing window can batch all three.
+/// A server with enough workers that three deltas can all be waiting on
+/// one busy session at once, so they coalesce into one run.
 fn serve(service: ServiceConfig) -> (SocketAddr, ServerHandle) {
     let config = ServerConfig { threads: 4, service, ..ServerConfig::default() };
     let server = Server::bind(config).expect("bind");
@@ -124,10 +124,7 @@ fn fingerprint(body: &str) -> String {
 fn report_responses_are_byte_identical_to_the_emitter() {
     // Memory-only (no durability label), with a name that needs escaping:
     // `q"uote\name` on the wire as percent escapes.
-    let (addr, handle) = serve(ServiceConfig {
-        coalesce_window: Some(Duration::from_millis(300)),
-        ..Default::default()
-    });
+    let (addr, handle) = serve(ServiceConfig::default());
     let registry = handle.registry();
     let (name, path) = ("q\"uote\\name", "/sessions/q%22uote%5Cname");
     ok(addr, "POST", path, CREATE_BODY);
@@ -142,45 +139,34 @@ fn report_responses_are_byte_identical_to_the_emitter() {
     let retried = ok(addr, "POST", &format!("{path}/delta"), delta_body);
     assert_eq!(retried, expected_body(&registry, name, 0, None, true));
 
-    // Coalesced deltas: bursts of three concurrent deltas inside one
-    // window. Only the responses from a burst's last run carry the
-    // session's current report; a burst whose last run ran alone is
-    // retried, since the window makes batching likely, not certain.
-    let mut saw_coalesced = false;
-    for burst in 0..5 {
-        let barrier = Arc::new(Barrier::new(3));
-        let threads: Vec<_> = (0..3)
-            .map(|i| {
-                let barrier = Arc::clone(&barrier);
-                let path = format!("{path}/delta");
-                std::thread::spawn(move || {
-                    let mut stream = connect(addr);
-                    barrier.wait();
-                    send(&mut stream, "POST", &path, &insert(&format!("b{burst}t{i}")));
-                    read_response(&mut stream)
+    // Coalesced deltas: three deltas queue behind the held session lock,
+    // so the first drain after the release serves them in one run and
+    // every response carries that run's report.
+    let threads = registry
+        .with_state_lock_held(name, || {
+            let threads: Vec<_> = (0..3)
+                .map(|i| {
+                    let path = format!("{path}/delta");
+                    std::thread::spawn(move || {
+                        let mut stream = connect(addr);
+                        send(&mut stream, "POST", &path, &insert(&format!("t{i}")));
+                        read_response(&mut stream)
+                    })
                 })
-            })
-            .collect();
-        let bodies: Vec<String> = threads
-            .into_iter()
-            .map(|thread| {
-                let (status, body) = thread.join().expect("delta thread");
-                assert_eq!(status, 200, "{body}");
-                body
-            })
-            .collect();
-        let current = wire::fingerprint_hex(&registry.report(name).unwrap());
-        for body in bodies.iter().filter(|body| fingerprint(body) == current) {
-            let json = Json::parse(body).unwrap();
-            let coalesced = json.get("coalesced_deltas").and_then(Json::as_i64).unwrap() as usize;
-            saw_coalesced |= coalesced > 0;
-            assert_eq!(*body, expected_body(&registry, name, coalesced, None, false));
-        }
-        if saw_coalesced {
-            break;
-        }
+                .collect();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while registry.queued_deltas(name).unwrap() < 3 {
+                assert!(Instant::now() < deadline, "three deltas never queued");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            threads
+        })
+        .unwrap();
+    for thread in threads {
+        let (status, body) = thread.join().expect("delta thread");
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body, expected_body(&registry, name, 2, None, false));
     }
-    assert!(saw_coalesced, "five bursts produced no coalesced run");
     handle.shutdown();
 
     // Durable, then degraded: every write fails while the shim is armed.

@@ -142,18 +142,15 @@ fn newline_free_flood_is_bounded_and_rejected() {
 #[test]
 fn saturated_admission_queue_sheds_with_429() {
     // One worker, queue of one: request A occupies the worker (its delta
-    // parks in the coalesce window, so the occupancy is deterministic),
-    // request B fills the queue, request C must be shed by the event loop
-    // with a 429 — and A and B still answer 200 afterwards, because
-    // shedding C never touched the worker.
+    // waits on session `s`, whose lock this test holds, so the occupancy
+    // is deterministic), request B fills the queue, request C must be
+    // shed by the event loop with a 429 — and A and B still answer 200
+    // once the lock is released, because shedding C never touched the
+    // worker.
     let server = Server::bind(ServerConfig {
         threads: 1,
         queue_capacity: 1,
         io_timeout: Duration::from_secs(10),
-        service: ServiceConfig {
-            coalesce_window: Some(Duration::from_millis(700)),
-            ..ServiceConfig::default()
-        },
         ..Default::default()
     })
     .expect("bind ephemeral port");
@@ -176,18 +173,28 @@ fn saturated_admission_queue_sheds_with_429() {
                 .unwrap_or_else(|e| panic!("{tag}: {e}"))
         })
     };
-    // A's job reaches the worker and parks in the 700ms coalesce window.
-    let a = slow_delta("A");
-    std::thread::sleep(Duration::from_millis(200));
-    // B's job takes the single queue slot.
-    let b = slow_delta("B");
-    std::thread::sleep(Duration::from_millis(200));
+    let registry = handle.registry();
+    let (a, b, c) = registry
+        .with_state_lock_held("s", || {
+            // A's job reaches the worker and waits on the held lock.
+            let a = slow_delta("A");
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while registry.queued_deltas("s").unwrap() < 1 {
+                assert!(std::time::Instant::now() < deadline, "A never reached the worker");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // B's job takes the single queue slot.
+            let b = slow_delta("B");
+            std::thread::sleep(Duration::from_millis(200));
 
-    // C finds the worker busy and the queue full: shed at dispatch.
-    let mut c = Client::connect(addr).expect("connect C");
-    let (status, body) = c.request("GET", "/healthz", "").expect("C gets an answer");
-    assert_eq!(status, 429, "saturated queue must shed: {body}");
-    assert_eq!(body.get("error").and_then(Json::as_str), Some("overloaded"));
+            // C finds the worker busy and the queue full: shed at dispatch.
+            let mut c = Client::connect(addr).expect("connect C");
+            let (status, body) = c.request("GET", "/healthz", "").expect("C gets an answer");
+            assert_eq!(status, 429, "saturated queue must shed: {body}");
+            assert_eq!(body.get("error").and_then(Json::as_str), Some("overloaded"));
+            (a, b, c)
+        })
+        .expect("session s exists");
 
     // A and B were admitted, so both must complete normally.
     let (status_a, body_a) = a.join().expect("join A");
